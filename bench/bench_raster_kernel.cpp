@@ -14,10 +14,16 @@
 //      own blend spans are captured and replayed through each tier's fused
 //      sample_row kernel, isolating the kernel from triangle setup (which
 //      Amdahl-limits any end-to-end tier ratio);
-//   4. runs the whole DnC engine once per algorithm and reports the
+//   4. splits one span pass into blend kernel (the captured spans replayed
+//      through the dispatched tier) and setup (the rest of the pass);
+//   5. repeats equivalence, throughput and that split on the small-triangle
+//      regime — the served animation frame's mesh shape, ~2.2 fragments per
+//      triangle, where per-triangle setup sets the cost (small.* keys);
+//   6. runs the whole DnC engine once per algorithm and reports the
 //      eq. 3.2 modeled frame seconds;
-//   5. gates: span must reach >= 2.0x reference throughput (1.5x with
-//      --smoke, whose workload is too small to amortize setup), AND — when
+//   7. gates: span must reach >= 2.0x reference throughput (1.5x with
+//      --smoke, whose workload is too small to amortize setup), coverage
+//      and values must match kReference on both workloads, AND — when
 //      the host has AVX2 — the avx2 tier must reach >= 1.5x the scalar
 //      (omp-simd) tier's span-kernel fragment throughput (1.2x with
 //      --smoke), else the process exits nonzero.
@@ -53,6 +59,32 @@ struct RibbonWorkload {
   std::shared_ptr<const render::SpotProfile> profile;
 };
 
+// Pre-transforms every spot once (the kernel timing then excludes genP) and
+// builds the constant-UV unit-weight clone: every covered pixel of the clone
+// blends the exact same float quantum, so coverage differences cannot cancel
+// or hide.
+void transform_spots(RibbonWorkload& r) {
+  const bench::Workload& w = r.workload;
+  const core::SpotGeometryGenerator generator(w.synthesis, *w.field);
+  r.geometry.reserve(w.spots.size(),
+                     static_cast<std::size_t>(w.synthesis.vertices_per_spot()));
+  for (const core::SpotInstance& spot : w.spots) {
+    generator.generate(spot, r.geometry);
+  }
+  r.coverage.reserve(r.geometry.mesh_count(), 4);
+  for (const render::MeshHeader& h : r.geometry.meshes()) {
+    auto out = r.coverage.add_mesh(1.0f, h.cols, h.rows);
+    const auto in = r.geometry.vertices_of(h);
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      out[k] = in[k];
+      out[k].u = 0.5f;
+      out[k].v = 0.5f;
+    }
+  }
+  r.profile = render::SpotProfile::make_shared(w.synthesis.profile_shape,
+                                               w.synthesis.profile_resolution);
+}
+
 RibbonWorkload make_ribbon_workload(bool smoke) {
   RibbonWorkload r;
   bench::Workload& w = r.workload;
@@ -80,7 +112,8 @@ RibbonWorkload make_ribbon_workload(bool smoke) {
   // ribbons span tens of pixels and the frame is genT-bound — exactly the
   // regime where rasterizer throughput decides the frame rate. At overview
   // zoom the paper's meshes tessellate below one pixel per quad and
-  // per-triangle setup dominates both algorithms equally.
+  // per-triangle setup dominates both algorithms equally (the small regime
+  // below measures that side).
   w.synthesis.texture_width = smoke ? 256 : 512;
   w.synthesis.texture_height = smoke ? 256 : 512;
   w.synthesis.spot_count = smoke ? 250 : 700;
@@ -103,30 +136,37 @@ RibbonWorkload make_ribbon_workload(bool smoke) {
     spot.intensity = rng.intensity();
     w.spots.push_back(spot);
   }
+  transform_spots(r);
+  return r;
+}
 
-  // Pre-transform every spot once; the kernel timing then excludes genP.
-  const core::SpotGeometryGenerator generator(w.synthesis, *w.field);
-  r.geometry.reserve(w.spots.size(),
-                     static_cast<std::size_t>(w.synthesis.vertices_per_spot()));
-  for (const core::SpotInstance& spot : w.spots) {
-    generator.generate(spot, r.geometry);
-  }
+// The small-triangle regime: the served animation frame's mesh shape. 16x3
+// ribbons of 3 px radius and 22 px length on a 256^2 texture, traced at 4
+// substeps through a Rankine vortex with spots scattered over the whole
+// domain, tessellate to ~2.2 fragments per triangle — where a triangle's
+// fixed setup, not its blending, sets the raster cost.
+RibbonWorkload make_small_workload(bool smoke) {
+  RibbonWorkload r;
+  bench::Workload& w = r.workload;
+  w.name = smoke ? "small ribbons (smoke)" : "small ribbons";
+  const field::Rect domain{0.0, 0.0, 4.0, 4.0};
+  w.field = field::analytic::rankine_vortex({2.0, 2.0}, 1.2, 0.8, domain);
 
-  // Constant-UV unit-weight clone: every covered pixel blends the exact
-  // same float quantum, so coverage differences cannot cancel or hide.
-  r.coverage.reserve(r.geometry.mesh_count(), 4);
-  for (const render::MeshHeader& h : r.geometry.meshes()) {
-    auto out = r.coverage.add_mesh(1.0f, h.cols, h.rows);
-    const auto in = r.geometry.vertices_of(h);
-    for (std::size_t k = 0; k < in.size(); ++k) {
-      out[k] = in[k];
-      out[k].u = 0.5f;
-      out[k].v = 0.5f;
-    }
-  }
+  w.synthesis.texture_width = 256;
+  w.synthesis.texture_height = 256;
+  w.synthesis.spot_count = smoke ? 500 : 1500;
+  w.synthesis.kind = core::SpotKind::kBent;
+  w.synthesis.bent.mesh_cols = 16;
+  w.synthesis.bent.mesh_rows = 3;
+  w.synthesis.bent.length_px = 22.0;
+  w.synthesis.bent.trace_substeps = 4;
+  w.synthesis.spot_radius_px = 3.0;
+  w.synthesis.intensity_scale =
+      core::SerialSynthesizer::natural_intensity(w.synthesis);
 
-  r.profile = render::SpotProfile::make_shared(w.synthesis.profile_shape,
-                                               w.synthesis.profile_resolution);
+  util::Rng rng(20261016);
+  w.spots = core::make_random_spots(domain, w.synthesis.spot_count, rng);
+  transform_spots(r);
   return r;
 }
 
@@ -144,6 +184,7 @@ render::RasterStats rasterize_once(const RibbonWorkload& r, render::Framebuffer&
 
 struct KernelRate {
   double seconds = 0.0;
+  double pass_seconds = 0.0;  ///< one whole-buffer rasterization
   double frags_per_second = 0.0;
   render::RasterStats stats;
 };
@@ -168,7 +209,8 @@ struct SpanWorkload {
 // Recovers the workload's real covered-run distribution: each triangle of
 // the constant-UV coverage clone is rasterized alone into a scratch target
 // and its bounding-box rows scanned for nonzero runs — exactly the
-// contiguous intervals raster_tri_span hands to sample_row_add/max. Each
+// contiguous intervals raster_tri_span blends (through the batched kernel,
+// or inline when short; the replay sends all through the kernel). Each
 // run is then rebuilt as a SampleSpan over the actual profile table with an
 // in-range UV walk at the workload's texels-per-pixel scale (the profile
 // spans the spot diameter), so the replay performs the same gathers, lerps
@@ -328,10 +370,118 @@ KernelRate measure_kernel(const RibbonWorkload& r, render::Framebuffer& fb,
     ++reps;
     rate.seconds = watch.seconds();
   } while (rate.seconds < min_seconds);
+  rate.pass_seconds = rate.seconds / static_cast<double>(reps);
   rate.frags_per_second =
-      static_cast<double>(rate.stats.fragments) * static_cast<double>(reps) /
-      rate.seconds;
+      static_cast<double>(rate.stats.fragments) / rate.pass_seconds;
   return rate;
+}
+
+// Span-vs-reference equivalence on one workload: exact coverage on the
+// constant-texel clone, values within `value_gate` under both blend modes.
+struct Equivalence {
+  bool coverage_identical = false;
+  float additive_dev = 0.0f;
+  float maximum_dev = 0.0f;
+  bool pass = false;
+};
+
+Equivalence check_equivalence(const RibbonWorkload& r, render::Framebuffer& fb,
+                              render::Framebuffer& other) {
+  Equivalence eq;
+  const auto ref_stats = rasterize_once(r, fb, render::RasterAlgorithm::kReference,
+                                        render::BlendMode::kAdditive, r.geometry);
+  const auto span_stats = rasterize_once(r, other, render::RasterAlgorithm::kSpan,
+                                         render::BlendMode::kAdditive, r.geometry);
+  eq.additive_dev = fb.max_abs_diff(other);
+  (void)rasterize_once(r, fb, render::RasterAlgorithm::kReference,
+                       render::BlendMode::kMaximum, r.geometry);
+  (void)rasterize_once(r, other, render::RasterAlgorithm::kSpan,
+                       render::BlendMode::kMaximum, r.geometry);
+  eq.maximum_dev = fb.max_abs_diff(other);
+
+  (void)rasterize_once(r, fb, render::RasterAlgorithm::kReference,
+                       render::BlendMode::kAdditive, r.coverage);
+  (void)rasterize_once(r, other, render::RasterAlgorithm::kSpan,
+                       render::BlendMode::kAdditive, r.coverage);
+  eq.coverage_identical = fb == other && ref_stats.fragments == span_stats.fragments;
+
+  // Value tolerance: the kernels' UV evaluation differs by design (~1e-5,
+  // see test_rasterizer.cpp), and each side additionally snaps to the
+  // contribution lattice, which can separate the results by up to two
+  // quanta (util/simd.hpp).
+  const float value_gate = 1e-5f + 2.0f * util::simd::kContributionQuantum;
+  eq.pass = eq.coverage_identical && eq.additive_dev <= value_gate &&
+            eq.maximum_dev <= value_gate;
+  std::printf("  equivalence: coverage %s, max deviation additive %.2e / max %.2e\n",
+              eq.coverage_identical ? "identical" : "DIFFERS", eq.additive_dev,
+              eq.maximum_dev);
+  return eq;
+}
+
+// The small-triangle regime's numbers: per-triangle cost and its split
+// into blend kernel and everything else.
+struct SmallRegime {
+  std::int64_t triangles = 0;
+  Equivalence equivalence;
+  KernelRate span;
+  double kernel_seconds = 0.0;  ///< one pass's spans through kernels()
+  double spans_mean_length = 0.0;
+
+  [[nodiscard]] double setup_seconds() const {
+    return span.pass_seconds - kernel_seconds;
+  }
+  [[nodiscard]] double ns_per_triangle() const {
+    return span.pass_seconds * 1e9 / static_cast<double>(triangles);
+  }
+  [[nodiscard]] double frags_per_triangle() const {
+    return static_cast<double>(span.stats.fragments) /
+           static_cast<double>(triangles);
+  }
+};
+
+// Replay time of one pass's captured spans through the dispatched kernel
+// tier: the blend-kernel share of a span-rasterizer pass. Best of a few
+// bouts, like the tier ablation.
+double kernel_pass_seconds(const SpanWorkload& work, std::vector<float>& dst,
+                           std::vector<float*>& ptrs, double bout_seconds, int rounds) {
+  double rate = 0.0;
+  for (int round = 0; round < rounds; ++round) {
+    rate = std::max(rate, measure_tier_bout(util::simd::kernels(), work, dst, ptrs,
+                                            bout_seconds));
+  }
+  return static_cast<double>(work.fragments) / rate;
+}
+
+SmallRegime run_small_regime(bool smoke) {
+  std::printf("== small-triangle regime (%s workload) ==\n", smoke ? "smoke" : "full");
+  const RibbonWorkload r = make_small_workload(smoke);
+  SmallRegime out;
+  out.triangles = r.geometry.quad_count() * 2;
+  std::printf("  %zu ribbons, %lld triangles, %dx%d target\n", r.geometry.mesh_count(),
+              static_cast<long long>(out.triangles), r.workload.synthesis.texture_width,
+              r.workload.synthesis.texture_height);
+  render::Framebuffer fb(r.workload.synthesis.texture_width,
+                         r.workload.synthesis.texture_height);
+  render::Framebuffer other(fb.width(), fb.height());
+  out.equivalence = check_equivalence(r, fb, other);
+
+  out.span = measure_kernel(r, fb, render::RasterAlgorithm::kSpan, smoke ? 0.15 : 0.8);
+  const SpanWorkload work = capture_spans(r, fb);
+  out.spans_mean_length = work.mean_length;
+  std::vector<float> dst(static_cast<std::size_t>(fb.width()) *
+                         static_cast<std::size_t>(fb.height()));
+  std::vector<float*> ptrs;
+  out.kernel_seconds =
+      kernel_pass_seconds(work, dst, ptrs, smoke ? 0.05 : 0.15, smoke ? 3 : 4);
+  std::printf("  span: %.1f ns/triangle, %.2f frags/triangle, %.2f Mfrag/s\n",
+              out.ns_per_triangle(), out.frags_per_triangle(),
+              out.span.frags_per_second / 1e6);
+  std::printf("  per pass: %.3f ms total = %.3f ms setup + %.3f ms %s kernel"
+              " (%zu spans, mean length %.2f)\n",
+              out.span.pass_seconds * 1e3, out.setup_seconds() * 1e3,
+              out.kernel_seconds * 1e3, util::simd::tier_name(util::simd::active_tier()),
+              work.spans.size(), work.mean_length);
+  return out;
 }
 
 }  // namespace
@@ -353,37 +503,7 @@ int main(int argc, char** argv) {
   render::Framebuffer fb(r.workload.synthesis.texture_width,
                          r.workload.synthesis.texture_height);
   render::Framebuffer other(fb.width(), fb.height());
-
-  // --- equivalence: values ---
-  const auto ref_stats = rasterize_once(r, fb, render::RasterAlgorithm::kReference,
-                                        render::BlendMode::kAdditive, r.geometry);
-  const auto span_stats = rasterize_once(r, other, render::RasterAlgorithm::kSpan,
-                                         render::BlendMode::kAdditive, r.geometry);
-  const float additive_dev = fb.max_abs_diff(other);
-  (void)rasterize_once(r, fb, render::RasterAlgorithm::kReference,
-                       render::BlendMode::kMaximum, r.geometry);
-  (void)rasterize_once(r, other, render::RasterAlgorithm::kSpan,
-                       render::BlendMode::kMaximum, r.geometry);
-  const float maximum_dev = fb.max_abs_diff(other);
-
-  // --- equivalence: exact coverage ---
-  (void)rasterize_once(r, fb, render::RasterAlgorithm::kReference,
-                       render::BlendMode::kAdditive, r.coverage);
-  (void)rasterize_once(r, other, render::RasterAlgorithm::kSpan,
-                       render::BlendMode::kAdditive, r.coverage);
-  const bool coverage_identical =
-      fb == other && ref_stats.fragments == span_stats.fragments;
-
-  // Value tolerance: the kernels' UV evaluation differs by design (~1e-5,
-  // see test_rasterizer.cpp), and each side additionally snaps to the
-  // contribution lattice, which can separate the results by up to two
-  // quanta (util/simd.hpp).
-  const float value_gate = 1e-5f + 2.0f * util::simd::kContributionQuantum;
-  const bool equivalent = coverage_identical && additive_dev <= value_gate &&
-                          maximum_dev <= value_gate;
-  std::printf("  equivalence: coverage %s, max deviation additive %.2e / max %.2e\n",
-              coverage_identical ? "identical" : "DIFFERS", additive_dev,
-              maximum_dev);
+  const Equivalence eq = check_equivalence(r, fb, other);
 
   // --- throughput ---
   const double min_seconds = smoke ? 0.15 : 0.8;
@@ -457,6 +577,24 @@ int main(int argc, char** argv) {
   }
   const bool tier_pass = !have_avx2 || tier_speedup >= tier_gate;
 
+  // --- layer split: one span pass = blend kernel + setup ---
+  // The kernel share is the captured spans' replay time on the dispatched
+  // tier; everything else in the pass (triangle setup, edge walks, UV
+  // planes, short spans blended inline) is setup.
+  double active_rate = 0.0;
+  for (const TierRate& tr : tier_rates) {
+    if (tr.tier == util::simd::active_tier()) active_rate = tr.frags_per_second;
+  }
+  const double kernel_seconds =
+      static_cast<double>(span_work.fragments) / active_rate;
+  const double setup_seconds = span.pass_seconds - kernel_seconds;
+  std::printf("  per pass: %.3f ms total = %.3f ms setup + %.3f ms %s kernel\n",
+              span.pass_seconds * 1e3, setup_seconds * 1e3, kernel_seconds * 1e3,
+              util::simd::tier_name(util::simd::active_tier()));
+
+  // --- the small-triangle regime: setup-bound animation frames ---
+  const SmallRegime small = run_small_regime(smoke);
+
   // --- eq. 3.2 modeled frame time through the whole engine ---
   core::DncConfig dnc;
   dnc.processors = 2;
@@ -495,12 +633,26 @@ int main(int argc, char** argv) {
                span_rates.stats.genT_critical_seconds);
     report.set("speedup", speedup);
     report.set("max_abs_deviation",
-               static_cast<double>(std::max(additive_dev, maximum_dev)));
-    report.set("coverage_identical", coverage_identical);
+               static_cast<double>(std::max(eq.additive_dev, eq.maximum_dev)));
+    report.set("coverage_identical", eq.coverage_identical);
     report.set("gate.threshold", gate);
-    report.set("gate.pass", equivalent && speedup >= gate);
+    report.set("gate.pass", eq.pass && speedup >= gate);
     report.set("spans.count", static_cast<std::int64_t>(span_work.spans.size()));
     report.set("spans.mean_length", span_work.mean_length);
+    report.set("layer.setup_seconds", setup_seconds);
+    report.set("layer.kernel_seconds", kernel_seconds);
+    report.set("small.triangles", small.triangles);
+    report.set("small.fragments", small.span.stats.fragments);
+    report.set("small.frags_per_triangle", small.frags_per_triangle());
+    report.set("small.ns_per_triangle", small.ns_per_triangle());
+    report.set("small.frags_per_second", small.span.frags_per_second);
+    report.set("small.spans.mean_length", small.spans_mean_length);
+    report.set("small.layer.setup_seconds", small.setup_seconds());
+    report.set("small.layer.kernel_seconds", small.kernel_seconds);
+    report.set("small.max_abs_deviation",
+               static_cast<double>(std::max(small.equivalence.additive_dev,
+                                            small.equivalence.maximum_dev)));
+    report.set("small.coverage_identical", small.equivalence.coverage_identical);
     for (const TierRate& tr : tier_rates) {
       report.set(std::string("tier.") + util::simd::tier_name(tr.tier) +
                      ".frags_per_second",
@@ -515,8 +667,9 @@ int main(int argc, char** argv) {
     report.write(json_path);
   }
 
-  if (!equivalent) {
-    std::printf("FAIL: span/reference equivalence violated\n");
+  if (!eq.pass || !small.equivalence.pass) {
+    std::printf("FAIL: span/reference equivalence violated (%s workload)\n",
+                eq.pass ? "small-triangle" : "ribbon");
     return 1;
   }
   if (speedup < gate) {

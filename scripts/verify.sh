@@ -9,7 +9,9 @@
 #                                    # service, tile-cache and streaming
 #                                    # gates on their small workloads (exits
 #                                    # nonzero if the span kernel loses its
-#                                    # >=1.5x margin / equivalence,
+#                                    # >=1.5x margin, or any coverage/value
+#                                    # mismatch against kReference shows on
+#                                    # the ribbon or small-triangle regime,
 #                                    # incremental reuse loses its modeled
 #                                    # speedup / bit-identity, 4 concurrent
 #                                    # sessions stop beating 2x one-at-a-time
@@ -169,7 +171,8 @@ check_goldens
 
 if [[ "$RUN_BENCH_SMOKE" -eq 1 ]]; then
   # Small-workload runs of the gated ablations: the span-vs-reference
-  # rasterizer gate (>=1.5x + coverage/value equivalence) and the
+  # rasterizer gate (>=1.5x + coverage/value equivalence on both the ribbon
+  # workload and the small-triangle regime) and the
   # incremental-resynthesis gate (modeled speedup + bit-identity to full
   # resynthesis). Full gates: scripts/bench.sh.
   echo "== rasterizer bench smoke (bench_raster_kernel --smoke) =="

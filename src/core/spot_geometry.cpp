@@ -134,37 +134,40 @@ void SpotGeometryGenerator::generate_bent(const SpotInstance& spot,
   const int rows = config_.bent.mesh_rows;
   const int substeps = config_.bent.trace_substeps;
 
-  // Trace half the spine upstream, half downstream, at substep resolution.
+  // Plain doubles, no member initializers: the 256-entry array is written
+  // before it is read, and zero-filling its 8 KiB per spot would cost more
+  // than tracing a short spine.
+  struct SpinePoint {
+    double x, y;    ///< position, texture pixels
+    double nx, ny;  ///< unit normal, texture pixels
+  };
+  std::array<SpinePoint, 256> spine;
+  DCSN_CHECK(cols <= static_cast<int>(spine.size()),
+             "bent spot mesh_cols exceeds the supported maximum of 256");
+  // Trace half the spine upstream, half downstream, at substep resolution,
+  // straight into the spine array. Every substeps-th point (counted from
+  // the seed) becomes a spine vertex — the rest only improved accuracy —
+  // at slot bwd_segments + k / substeps, so the spine runs upstream -> seed
+  // -> downstream over the slots [first, last] the march reached.
   const int fwd_segments = (cols - 1) / 2;
   const int bwd_segments = (cols - 1) - fwd_segments;
-  const particles::Streamline line = tracer_.trace(
-      *field_, spot.position, fwd_segments * substeps, bwd_segments * substeps);
-
-  // Keep every substeps-th sample; the rest only improved accuracy.
-  struct SpinePoint {
-    field::Vec2 pos_px;
-    field::Vec2 normal_px;
-  };
-  std::array<SpinePoint, 256> spine_storage;
-  DCSN_CHECK(cols <= static_cast<int>(spine_storage.size()),
-             "bent spot mesh_cols exceeds the supported maximum of 256");
-  int spine_count = 0;
-
-  const auto seed = static_cast<std::ptrdiff_t>(line.seed_index);
-  const auto total = static_cast<std::ptrdiff_t>(line.size());
-  for (std::ptrdiff_t k = seed % substeps; k < total; k += substeps) {
-    const field::Vec2 p = line.points[static_cast<std::size_t>(k)];
-    const field::Vec2 t = line.tangents[static_cast<std::size_t>(k)];
-    const auto [px, py] = mapping_.map(p);
-    const field::Vec2 tangent_px = map_direction(t);
-    const double len = tangent_px.length();
-    SpinePoint sp;
-    sp.pos_px = {px, py};
-    sp.normal_px = len > kMinDirection ? tangent_px.perp() / len
-                                       : field::Vec2{0.0, 1.0};
-    spine_storage[static_cast<std::size_t>(spine_count++)] = sp;
-    if (spine_count == cols) break;
-  }
+  int first = bwd_segments;
+  int last = bwd_segments;
+  tracer_.march(*field_, spot.position, fwd_segments * substeps, bwd_segments * substeps,
+                [&](int k, field::Vec2 p, field::Vec2 t) {
+                  if (k % substeps != 0) return;
+                  const int slot = bwd_segments + k / substeps;
+                  const auto [px, py] = mapping_.map(p);
+                  const field::Vec2 tangent_px = map_direction(t);
+                  const double len = tangent_px.length();
+                  const field::Vec2 normal = len > kMinDirection
+                                                 ? tangent_px.perp() / len
+                                                 : field::Vec2{0.0, 1.0};
+                  spine[static_cast<std::size_t>(slot)] = {px, py, normal.x, normal.y};
+                  first = std::min(first, slot);
+                  last = std::max(last, slot);
+                });
+  const int spine_count = last - first + 1;
 
   if (spine_count < 2) {
     // Stagnation or immediate domain exit: degrade to an untransformed spot.
@@ -180,12 +183,12 @@ void SpotGeometryGenerator::generate_bent(const SpotInstance& spot,
     const double across = (static_cast<double>(j) / (rows - 1) - 0.5) * width_px;
     const auto v_coord = static_cast<float>(j) / static_cast<float>(rows - 1);
     for (int i = 0; i < spine_count; ++i) {
-      const SpinePoint& sp = spine_storage[static_cast<std::size_t>(i)];
-      const field::Vec2 p = sp.pos_px + sp.normal_px * across;
+      const SpinePoint& sp = spine[static_cast<std::size_t>(first + i)];
       const auto u_coord = static_cast<float>(i) / static_cast<float>(spine_count - 1);
       verts[static_cast<std::size_t>(j) * static_cast<std::size_t>(spine_count) +
-            static_cast<std::size_t>(i)] = {static_cast<float>(p.x),
-                                            static_cast<float>(p.y), u_coord, v_coord};
+            static_cast<std::size_t>(i)] = {static_cast<float>(sp.x + sp.nx * across),
+                                            static_cast<float>(sp.y + sp.ny * across),
+                                            u_coord, v_coord};
     }
   }
 }

@@ -27,8 +27,13 @@ class SpotGeometryGenerator {
   SpotGeometryGenerator(const SynthesisConfig& config, const field::VectorField& f);
 
   /// Appends one spot's mesh to `out`. Thread-safe: const and allocation-free
-  /// apart from growing `out`.
+  /// apart from growing `out` (so none at all into a CommandBuffer reserved
+  /// for the spots). A bent spot traces its spine with tracer().march()
+  /// straight into a fixed array — the same points trace() would return.
   void generate(const SpotInstance& spot, render::CommandBuffer& out) const;
+
+  /// The bent-spot spine tracer: RK4 at a fixed arc length per substep.
+  [[nodiscard]] const particles::StreamlineTracer& tracer() const { return tracer_; }
 
   /// Conservative half-extent (in pixels) of any spot this generator emits;
   /// the tiling preprocessor uses it to find every tile a spot may touch.

@@ -4,81 +4,32 @@
 
 namespace dcsn::particles {
 
-namespace {
-
-// Unit-speed wrapper: integrating this field advances by arc length, not
-// time, giving streamline points evenly spaced along the curve.
-class UnitSpeedField final : public field::VectorField {
- public:
-  UnitSpeedField(const field::VectorField& base, double direction,
-                 double stagnation_speed)
-      : base_(base), direction_(direction), stagnation_(stagnation_speed) {}
-
-  [[nodiscard]] field::Vec2 sample(field::Vec2 p) const override {
-    const field::Vec2 v = base_.sample(p);
-    const double len = v.length();
-    if (len < stagnation_) return {};
-    return v * (direction_ / len);
-  }
-
-  [[nodiscard]] field::Rect domain() const override { return base_.domain(); }
-  [[nodiscard]] double max_magnitude() const override { return 1.0; }
-
- private:
-  const field::VectorField& base_;
-  double direction_;
-  double stagnation_;
-};
-
-}  // namespace
-
 Streamline StreamlineTracer::trace(const field::VectorField& f, field::Vec2 seed,
                                    int steps_forward, int steps_backward) const {
-  const field::Rect domain = f.domain();
-
-  auto march = [&](double direction, int steps, std::vector<field::Vec2>& pts,
-                   std::vector<field::Vec2>& tans) {
-    const UnitSpeedField unit(f, direction, config_.stagnation_speed);
-    field::Vec2 p = seed;
-    for (int k = 0; k < steps; ++k) {
-      const field::Vec2 v = unit.sample(p);
-      if (v.length_sq() == 0.0) break;  // stagnation
-      const field::Vec2 next = step(unit, p, config_.step_length, config_.method);
-      if (config_.clamp_to_domain && !domain.contains(next)) break;
-      if ((next - p).length_sq() == 0.0) break;  // no progress
-      p = next;
-      pts.push_back(p);
-      tans.push_back(unit.sample(p) * direction);  // flow direction, not march direction
-    }
-  };
-
-  std::vector<field::Vec2> fwd_pts, fwd_tans;
-  std::vector<field::Vec2> bwd_pts, bwd_tans;
-  fwd_pts.reserve(static_cast<std::size_t>(std::max(steps_forward, 0)));
-  bwd_pts.reserve(static_cast<std::size_t>(std::max(steps_backward, 0)));
-  march(+1.0, steps_forward, fwd_pts, fwd_tans);
-  march(-1.0, steps_backward, bwd_pts, bwd_tans);
-
+  // The point k steps from the seed lands in slot back + k of a polyline
+  // sized for the whole request, running upstream -> seed -> downstream;
+  // the slots the march did not reach are trimmed afterwards.
+  const int back = std::max(steps_backward, 0);
+  const auto size = static_cast<std::size_t>(back) + 1 +
+                    static_cast<std::size_t>(std::max(steps_forward, 0));
   Streamline line;
-  line.points.reserve(bwd_pts.size() + 1 + fwd_pts.size());
-  line.tangents.reserve(line.points.capacity());
-
-  // Upstream points come out seed-first; reverse so the polyline runs
-  // upstream -> seed -> downstream.
-  for (auto it = bwd_pts.rbegin(); it != bwd_pts.rend(); ++it) line.points.push_back(*it);
-  for (auto it = bwd_tans.rbegin(); it != bwd_tans.rend(); ++it) line.tangents.push_back(*it);
-
-  line.seed_index = line.points.size();
-  line.points.push_back(seed);
-  {
-    const field::Vec2 v = f.sample(seed);
-    const double len = v.length();
-    line.tangents.push_back(len >= config_.stagnation_speed ? v / len
-                                                            : field::Vec2{1.0, 0.0});
+  line.points.resize(size);
+  line.tangents.resize(size);
+  int first = back;
+  int last = back;
+  march(f, seed, steps_forward, steps_backward,
+        [&](int k, field::Vec2 point, field::Vec2 tangent) {
+          const int slot = back + k;
+          line.points[static_cast<std::size_t>(slot)] = point;
+          line.tangents[static_cast<std::size_t>(slot)] = tangent;
+          first = std::min(first, slot);
+          last = std::max(last, slot);
+        });
+  for (auto* v : {&line.points, &line.tangents}) {
+    v->erase(v->begin() + last + 1, v->end());
+    v->erase(v->begin(), v->begin() + first);
   }
-
-  line.points.insert(line.points.end(), fwd_pts.begin(), fwd_pts.end());
-  line.tangents.insert(line.tangents.end(), fwd_tans.begin(), fwd_tans.end());
+  line.seed_index = static_cast<std::size_t>(back - first);
   return line;
 }
 

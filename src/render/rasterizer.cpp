@@ -78,9 +78,61 @@ constexpr float kAnchorLimit = 4194304.0f;
 // solve; the walk stays bounded either way.
 constexpr int kGeomSlack = 4096;
 
+// What every triangle of one rasterize_* call shares, set up once per call
+// rather than once per triangle: the target rect in float, the dispatched
+// kernel table, and the span kernel's SoA batch (see raster_tri_span).
+struct Raster {
+  Raster(const RasterTarget& t, const SpotProfile& p)
+      : target(t),
+        profile(p),
+        tx0(static_cast<float>(t.origin_x)),
+        ty0(static_cast<float>(t.origin_y)),
+        tx1(static_cast<float>(t.origin_x + t.pixels.width())),
+        ty1(static_cast<float>(t.origin_y + t.pixels.height())),
+        kernels(util::simd::kernels()) {}
+
+  const RasterTarget& target;
+  const SpotProfile& profile;
+  /// The target's global pixel rect [tx0, tx1) x [ty0, ty1).
+  float tx0, ty0, tx1, ty1;
+  /// The runtime-dispatched kernel tier (scalar / SSE2 / AVX2 / NEON). Every
+  /// tier is bit-identical to the scalar expressions
+  /// (util/simd_dispatch.hpp), so the choice never shows in the pixels —
+  /// only in the frame time.
+  const util::simd::KernelTable& kernels;
+
+  /// SoA span batch: a triangle's rows queue here as (dst, span, length)
+  /// triples and flush through the batched kernel, so the tier pays its
+  /// per-call setup once per flush, not once per row. Its ~4.3 KiB live here,
+  /// once per call — SampleSpan's member initializers would zero-fill them
+  /// for every triangle if they sat on raster_tri_span's stack.
+  static constexpr int kSpanBatch = 64;
+  float* batch_dst[kSpanBatch] = {};
+  util::simd::SampleSpan batch_span[kSpanBatch];
+  std::uint32_t batch_len[kSpanBatch] = {};
+  int batched = 0;
+};
+
 // Rejects degenerate / non-finite / off-target triangles; fills `s` else.
-bool setup_triangle(const RasterTarget& target, MeshVertex a, MeshVertex b,
-                    MeshVertex c, TriSetup& s) {
+// Forced inline: with four kernel instantiations calling it GCC keeps it
+// out of line, and the call plus the TriSetup round trip through memory
+// cost ~15% of a tiny triangle's raster time.
+[[gnu::always_inline]] inline bool setup_triangle(const Raster& ctx, MeshVertex a,
+                                                  MeshVertex b, MeshVertex c,
+                                                  TriSetup& s) {
+  // Reject off-target (or NaN-extent) boxes first — the cheapest test, and
+  // the one every triangle of a neighbouring tile fails — while still in
+  // float space; the negated comparisons make any NaN land in the reject
+  // branch. The bbox does not depend on the winding fixed below.
+  const float min_x = std::min({a.x, b.x, c.x});
+  const float max_x = std::max({a.x, b.x, c.x});
+  const float min_y = std::min({a.y, b.y, c.y});
+  const float max_y = std::max({a.y, b.y, c.y});
+  if (!(min_x < ctx.tx1) || !(min_y < ctx.ty1) || !(max_x >= ctx.tx0) ||
+      !(max_y >= ctx.ty0)) {
+    return false;
+  }
+
   // Signed doubled area; positive means screen-clockwise (our canonical
   // winding). Flip b/c to normalize — bent-spot ribbons can fold over.
   float area2 = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
@@ -90,26 +142,12 @@ bool setup_triangle(const RasterTarget& target, MeshVertex a, MeshVertex b,
     area2 = -area2;
   }
 
-  const float min_x = std::min({a.x, b.x, c.x});
-  const float max_x = std::max({a.x, b.x, c.x});
-  const float min_y = std::min({a.y, b.y, c.y});
-  const float max_y = std::max({a.y, b.y, c.y});
-  // The target's global pixel rect [tx0, tx1) x [ty0, ty1).
-  const auto tx0 = static_cast<float>(target.origin_x);
-  const auto ty0 = static_cast<float>(target.origin_y);
-  const auto tx1 = static_cast<float>(target.origin_x + target.pixels.width());
-  const auto ty1 = static_cast<float>(target.origin_y + target.pixels.height());
-  // Reject off-target (or NaN-extent) boxes while still in float space; the
-  // negated comparisons make any NaN land in the reject branch.
-  if (!(min_x < tx1) || !(min_y < ty1) || !(max_x >= tx0) || !(max_y >= ty0)) {
-    return false;
-  }
   // Clamp to the target rect *before* the int cast: a far-off-screen vertex
   // (|coordinate| beyond ~2^31) would make the unclamped cast undefined.
-  s.x_min = static_cast<int>(std::floor(std::clamp(min_x, tx0, tx1 - 1.0f)));
-  s.x_max = static_cast<int>(std::ceil(std::clamp(max_x, tx0, tx1 - 1.0f)));
-  s.y_min = static_cast<int>(std::floor(std::clamp(min_y, ty0, ty1 - 1.0f)));
-  s.y_max = static_cast<int>(std::ceil(std::clamp(max_y, ty0, ty1 - 1.0f)));
+  s.x_min = static_cast<int>(std::floor(std::clamp(min_x, ctx.tx0, ctx.tx1 - 1.0f)));
+  s.x_max = static_cast<int>(std::ceil(std::clamp(max_x, ctx.tx0, ctx.tx1 - 1.0f)));
+  s.y_min = static_cast<int>(std::floor(std::clamp(min_y, ctx.ty0, ctx.ty1 - 1.0f)));
+  s.y_max = static_cast<int>(std::ceil(std::clamp(max_y, ctx.ty0, ctx.ty1 - 1.0f)));
   if (s.x_min > s.x_max || s.y_min > s.y_max) return false;
 
   // Target-independent canonical anchor, and the bbox's own right end in
@@ -166,12 +204,13 @@ bool setup_triangle(const RasterTarget& target, MeshVertex a, MeshVertex b,
 // ---------------------------------------------------------------------------
 
 template <BlendMode Mode>
-void raster_tri_reference(const RasterTarget& target, MeshVertex va, MeshVertex vb,
-                          MeshVertex vc, float weight, const SpotProfile& profile,
-                          RasterStats& stats) {
+void raster_tri_reference(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
+                          const MeshVertex& vc, float weight, RasterStats& stats) {
   TriSetup s;
-  if (!setup_triangle(target, va, vb, vc, s)) return;
+  if (!setup_triangle(ctx, va, vb, vc, s)) return;
 
+  const RasterTarget& target = ctx.target;
+  const SpotProfile& profile = ctx.profile;
   const auto pixels = target.pixels;
   std::int64_t fragments = 0;
   for (int y = s.y_min; y <= s.y_max; ++y) {
@@ -228,15 +267,21 @@ void raster_tri_reference(const RasterTarget& target, MeshVertex va, MeshVertex 
 // only for equal operands), so admission reduces to the exact comparison
 // m < r, or m <= r on a top-left edge.
 //
-// `base + ky * slope` is the x-intercept of the edge's zero line in row ky
-// (the per-triangle divisions buy division-free span seeding in every row).
-// Its rounding never matters: the fixup loops in the solver decide with the
-// exact comparison and only walk farther when the seed is off, which the
-// ~1e-4-pixel seed error never causes in practice.
+// `base + ky * slope` is one past the x-intercept of the edge's zero line in
+// row ky — the column where the boundary usually sits, so each fixup loop
+// below settles it with one exact probe. One reciprocal of dy per sloped
+// edge per triangle buys division-free seeding in every row. The seed's
+// rounding never matters: the fixup loops decide with the exact comparison
+// and only walk farther when the seed is off, which the ~1e-4-pixel seed
+// error rarely causes.
+//
+// No member initializers: a triangle writes only the entries it classifies
+// and reads only those, and zero-filling all nine per triangle measured
+// ~10% of a tiny triangle's raster time.
 struct RowBound {
-  float dy = 0.0f, dx = 0.0f, origin = 0.0f;
-  bool top_left = false;
-  double base = 0.0, slope = 0.0;
+  float dy, dx, origin;
+  bool top_left;
+  double base, slope;
 };
 
 // Seed clamped to [lo, hi]; NaN (overflowed intercepts) seeds lo.
@@ -246,13 +291,49 @@ inline int seed_from(double est, int lo, int hi) {
   return lo;
 }
 
-template <BlendMode Mode>
-void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
-                     MeshVertex vc, float weight, const SpotProfile& profile,
-                     RasterStats& stats) {
-  TriSetup s;
-  if (!setup_triangle(target, va, vb, vc, s)) return;
+// Spans up to this many fragments blend inline through
+// RowSampler::sample_at instead of queueing for the batched kernel: below
+// it, filling a batch slot and the kernel's per-span entry cost more than
+// the fragments themselves. Bit-identical either way — every kernel tier
+// reproduces quantize_contribution(weight * sample_at(k)) exactly (the
+// contract tests/test_simd.cpp pins), so the cut-over never shows in a
+// pixel.
+constexpr int kInlineSpan = 4;
 
+template <BlendMode Mode>
+void blend_inline(float* dst, const SpotProfile::RowSampler& sampler, int base, int n,
+                  float weight) {
+  for (int k = 0; k < n; ++k) {
+    const float value =
+        util::simd::quantize_contribution(weight * sampler.sample_at(base + k));
+    if constexpr (Mode == BlendMode::kAdditive) {
+      dst[k] += value;
+    } else {
+      dst[k] = dst[k] < value ? value : dst[k];
+    }
+  }
+}
+
+template <BlendMode Mode>
+void flush_batch(Raster& ctx) {
+  if (ctx.batched == 0) return;
+  if constexpr (Mode == BlendMode::kAdditive) {
+    ctx.kernels.sample_rows_add(ctx.batch_dst, ctx.batch_span, ctx.batch_len,
+                              static_cast<std::size_t>(ctx.batched));
+  } else {
+    ctx.kernels.sample_rows_max(ctx.batch_dst, ctx.batch_span, ctx.batch_len,
+                              static_cast<std::size_t>(ctx.batched));
+  }
+  ctx.batched = 0;
+}
+
+template <BlendMode Mode>
+void raster_tri_span(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
+                     const MeshVertex& vc, float weight, RasterStats& stats) {
+  TriSetup s;
+  if (!setup_triangle(ctx, va, vb, vc, s)) return;
+
+  const RasterTarget& target = ctx.target;
   const auto pixels = target.pixels;
   // The rendered kx window relative to the canonical anchor: [klo, kend).
   const int klo = s.x_min - s.ax;
@@ -265,22 +346,19 @@ void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
   const int gceil = std::min(s.gx_end, kend + kGeomSlack);
 
   // Classify the three edges once (dy's sign is fixed across the raster)
-  // and precompute each sloped edge's x-intercept line.
+  // and precompute each sloped edge's seed line.
   RowBound flat[3], left[3], right[3];
   int n_flat = 0, n_left = 0, n_right = 0;
   const Edge* edges[3] = {&s.ab, &s.bc, &s.ca};
   for (const Edge* e : edges) {
-    RowBound b;
-    b.dy = e->dy;
-    b.dx = e->dx;
-    b.origin = e->origin;
-    b.top_left = e->top_left;
+    RowBound b{e->dy, e->dx, e->origin, e->top_left, 0.0, 0.0};
     if (e->dy == 0.0f) {
       flat[n_flat++] = b;
       continue;
     }
-    b.base = static_cast<double>(e->origin) / static_cast<double>(e->dy);
-    b.slope = static_cast<double>(e->dx) / static_cast<double>(e->dy);
+    const double inv_dy = 1.0 / static_cast<double>(e->dy);
+    b.base = static_cast<double>(e->origin) * inv_dy + 1.0;
+    b.slope = static_cast<double>(e->dx) * inv_dy;
     if (e->dy > 0.0f) {
       right[n_right++] = b;
     } else {
@@ -321,35 +399,7 @@ void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
                         static_cast<double>(s.ab.dx) * s.c.v) *
                        inv_area;
 
-  SpotProfile::RowSampler sampler(profile, du_dx, dv_dx);
-
-  // The runtime-dispatched kernel tier (scalar / SSE2 / AVX2 / NEON),
-  // resolved once per triangle. Every tier is bit-identical to the scalar
-  // expressions (util/simd_dispatch.hpp), so the dispatch choice can never
-  // show in the pixels — only in the frame time.
-  const util::simd::KernelTable& kernels = util::simd::kernels();
-
-  // SoA span batch: the rows of this triangle accumulate as (dst, span,
-  // length) triples on the stack and flush through the batched kernel, so
-  // the tier pays its per-call setup once per flush, not once per row. The
-  // triples address disjoint pixels (one span per row, flanks excluded), so
-  // batched order is the per-row order bit for bit.
-  constexpr int kSpanBatch = 64;
-  float* batch_dst[kSpanBatch];
-  util::simd::SampleSpan batch_span[kSpanBatch];
-  std::uint32_t batch_len[kSpanBatch];
-  int batched = 0;
-  const auto flush = [&] {
-    if (batched == 0) return;
-    if constexpr (Mode == BlendMode::kAdditive) {
-      kernels.sample_rows_add(batch_dst, batch_span, batch_len,
-                              static_cast<std::size_t>(batched));
-    } else {
-      kernels.sample_rows_max(batch_dst, batch_span, batch_len,
-                              static_cast<std::size_t>(batched));
-    }
-    batched = 0;
-  };
+  SpotProfile::RowSampler sampler(ctx.profile, du_dx, dv_dx);
 
   std::int64_t fragments = 0;
   std::int64_t visited = 0;
@@ -432,27 +482,34 @@ void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
       // The reference blends max(dst, quantize(weight * 0)) on zero-texel
       // fragments; replicate that on the out-of-range flanks.
       const float flank = util::simd::quantize_contribution(weight * 0.0f);
-      kernels.max_with(dst, flank, static_cast<std::size_t>(r0 - lo));
-      kernels.max_with(dst + (r1 - lo), flank, static_cast<std::size_t>(hi - r1));
+      ctx.kernels.max_with(dst, flank, static_cast<std::size_t>(r0 - lo));
+      ctx.kernels.max_with(dst + (r1 - lo), flank, static_cast<std::size_t>(hi - r1));
     }
     if (r0 < r1) {
       // Rebase the sampler at the geometric in-range start s0 — in [0,1)^2
-      // so the fixed-point position fits — then queue the whole rendered
-      // sub-span as one SoA unit: the span() call hoists the per-fragment
+      // so the fixed-point position fits. Rendered fragments sample at
+      // offsets r0-s0 .. r1-1-s0. A short span blends right here; a longer
+      // one queues as one SoA unit: the span() call hoists the per-fragment
       // UV stepping state (fixed-point position, step, weight) out of this
       // loop, and at flush the batched kernel blends straight-line over the
       // contiguous destination floats (staging texels in a stack buffer on
       // tiers without gathers, walking fragments eight-at-a-time on AVX2).
-      // Rendered fragments sample at offsets r0-s0 .. r1-1-s0; every tier
-      // reproduces the scalar quantize(weight * sample) bits exactly.
+      // Either way every fragment gets the scalar quantize(weight * sample)
+      // bits exactly. The batch holds one triangle's rows — distinct
+      // framebuffer rows, never aliasing — so batched order is the per-row
+      // order bit for bit.
       sampler.start_row(u_row + s0 * du_dx, v_row + s0 * dv_dx);
-      batch_dst[batched] = dst + (r0 - lo);
-      batch_span[batched] = sampler.span(r0 - s0, weight);
-      batch_len[batched] = static_cast<std::uint32_t>(r1 - r0);
-      if (++batched == kSpanBatch) flush();
+      if (r1 - r0 <= kInlineSpan) {
+        blend_inline<Mode>(dst + (r0 - lo), sampler, r0 - s0, r1 - r0, weight);
+      } else {
+        ctx.batch_dst[ctx.batched] = dst + (r0 - lo);
+        ctx.batch_span[ctx.batched] = sampler.span(r0 - s0, weight);
+        ctx.batch_len[ctx.batched] = static_cast<std::uint32_t>(r1 - r0);
+        if (++ctx.batched == Raster::kSpanBatch) flush_batch<Mode>(ctx);
+      }
     }
   }
-  flush();
+  flush_batch<Mode>(ctx);
   ++stats.triangles;
   stats.fragments += fragments;
   stats.pixels_visited += visited;
@@ -463,8 +520,8 @@ void raster_tri_span(const RasterTarget& target, MeshVertex va, MeshVertex vb,
 // selected once per mesh / per command buffer instead of per triangle.
 // ---------------------------------------------------------------------------
 
-using TriKernel = void (*)(const RasterTarget&, MeshVertex, MeshVertex, MeshVertex,
-                           float, const SpotProfile&, RasterStats&);
+using TriKernel = void (*)(Raster&, const MeshVertex&, const MeshVertex&,
+                           const MeshVertex&, float, RasterStats&);
 
 TriKernel select_kernel(BlendMode mode, RasterAlgorithm algorithm) {
   const bool additive = mode == BlendMode::kAdditive;
@@ -476,9 +533,8 @@ TriKernel select_kernel(BlendMode mode, RasterAlgorithm algorithm) {
                   : &raster_tri_reference<BlendMode::kMaximum>;
 }
 
-void mesh_with_kernel(TriKernel kernel, const RasterTarget& target,
-                      std::span<const MeshVertex> vertices, int cols, int rows,
-                      float weight, const SpotProfile& profile, RasterStats& stats) {
+void mesh_with_kernel(TriKernel kernel, Raster& ctx, std::span<const MeshVertex> vertices,
+                      int cols, int rows, float weight, RasterStats& stats) {
   auto vertex = [&](int i, int j) -> const MeshVertex& {
     return vertices[static_cast<std::size_t>(j) * static_cast<std::size_t>(cols) +
                     static_cast<std::size_t>(i)];
@@ -489,8 +545,8 @@ void mesh_with_kernel(TriKernel kernel, const RasterTarget& target,
       const MeshVertex& v10 = vertex(i + 1, j);
       const MeshVertex& v11 = vertex(i + 1, j + 1);
       const MeshVertex& v01 = vertex(i, j + 1);
-      kernel(target, v00, v10, v11, weight, profile, stats);
-      kernel(target, v00, v11, v01, weight, profile, stats);
+      kernel(ctx, v00, v10, v11, weight, stats);
+      kernel(ctx, v00, v11, v01, weight, stats);
       ++stats.quads;
     }
   }
@@ -502,22 +558,25 @@ void rasterize_triangle(const RasterTarget& target, const MeshVertex& a,
                         const MeshVertex& b, const MeshVertex& c, float weight,
                         const SpotProfile& profile, BlendMode mode,
                         RasterStats& stats) {
-  select_kernel(mode, target.algorithm)(target, a, b, c, weight, profile, stats);
+  Raster ctx(target, profile);
+  select_kernel(mode, target.algorithm)(ctx, a, b, c, weight, stats);
 }
 
 void rasterize_mesh(const RasterTarget& target, std::span<const MeshVertex> vertices,
                     int cols, int rows, float weight, const SpotProfile& profile,
                     BlendMode mode, RasterStats& stats) {
-  mesh_with_kernel(select_kernel(mode, target.algorithm), target, vertices, cols,
-                   rows, weight, profile, stats);
+  Raster ctx(target, profile);
+  mesh_with_kernel(select_kernel(mode, target.algorithm), ctx, vertices, cols, rows,
+                   weight, stats);
 }
 
 void rasterize_buffer(const RasterTarget& target, const CommandBuffer& buffer,
                       const SpotProfile& profile, BlendMode mode, RasterStats& stats) {
   const TriKernel kernel = select_kernel(mode, target.algorithm);
+  Raster ctx(target, profile);
   for (const MeshHeader& h : buffer.meshes()) {
-    mesh_with_kernel(kernel, target, buffer.vertices_of(h), h.cols, h.rows,
-                     h.intensity, profile, stats);
+    mesh_with_kernel(kernel, ctx, buffer.vertices_of(h), h.cols, h.rows, h.intensity,
+                     stats);
   }
 }
 

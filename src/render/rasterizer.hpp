@@ -17,6 +17,9 @@
 //     with per-triangle constants (SpotProfile::RowSampler) and blended
 //     through the util::simd kernels — a straight-line add/fetch/blend with
 //     no per-fragment branches, and no iterations spent on rejected pixels.
+//     Spans of a few fragments blend inline with the same scalar
+//     expression every kernel tier reproduces, so the cut-over never
+//     shows in a pixel.
 //   * kReference — the original bounding-box walk testing all three edge
 //     functions per pixel. Kept selectable for equivalence testing and for
 //     the bench_raster_kernel ablation.
@@ -108,7 +111,8 @@ void rasterize_mesh(const RasterTarget& target, std::span<const MeshVertex> vert
 
 /// Rasterizes every mesh in a command buffer. The profile/blend/algorithm
 /// dispatch is hoisted out of the mesh loop: the triangle kernel is selected
-/// once and passed down (all meshes of a buffer share pipe state).
+/// once and passed down (all meshes of a buffer share pipe state), and so is
+/// the per-call raster state (kernel table, span batch).
 void rasterize_buffer(const RasterTarget& target, const CommandBuffer& buffer,
                       const SpotProfile& profile, BlendMode mode, RasterStats& stats);
 

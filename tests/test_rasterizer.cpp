@@ -106,6 +106,53 @@ void expect_equivalent(const MeshVertex& a, const MeshVertex& b, const MeshVerte
   }
 }
 
+// A served animation frame's spot mesh: a 16x3 ribbon of 3 px half-width
+// and 22 px length swept along an arc, u along the spine and v across it —
+// ~2 fragments per triangle. An arc radius below the half-width folds the
+// inner row through the arc centre, so some quads flip winding and overlap
+// their neighbours. The centre lands anywhere in [x0, x1) x [y0, y1).
+constexpr int kTinyCols = 16;
+constexpr int kTinyRows = 3;
+
+std::vector<MeshVertex> tiny_ribbon(dcsn::util::Rng& rng, double x0, double x1,
+                                    double y0, double y1) {
+  const bool folded = rng.uniform(0.0, 1.0) < 0.3;
+  const double radius = folded ? rng.uniform(0.8, 2.9) : rng.uniform(4.0, 60.0);
+  const double cx = rng.uniform(x0, x1);
+  const double cy = rng.uniform(y0, y1);
+  const double start = rng.uniform(0.0, 6.3);
+  const double sweep = (rng.uniform(0.0, 1.0) < 0.5 ? -22.0 : 22.0) / radius;
+  std::vector<MeshVertex> vertices;
+  vertices.reserve(kTinyCols * kTinyRows);
+  for (int j = 0; j < kTinyRows; ++j) {
+    const double r = radius + 3.0 * (2.0 * j / (kTinyRows - 1) - 1.0);
+    for (int i = 0; i < kTinyCols; ++i) {
+      const double t = static_cast<double>(i) / (kTinyCols - 1);
+      const double angle = start + sweep * t;
+      vertices.push_back(vtx(static_cast<float>(cx + r * std::cos(angle)),
+                             static_cast<float>(cy + r * std::sin(angle)),
+                             static_cast<float>(t),
+                             static_cast<float>(j) / (kTinyRows - 1)));
+    }
+  }
+  return vertices;
+}
+
+// Calls f(a, b, c) for each triangle of a row-major mesh in the mesh
+// rasterizer's own quad -> two-triangles order.
+template <class F>
+void for_each_triangle(const std::vector<MeshVertex>& v, int cols, int rows, F&& f) {
+  const auto at = [&](int i, int j) -> const MeshVertex& {
+    return v[static_cast<std::size_t>(j * cols + i)];
+  };
+  for (int j = 0; j + 1 < rows; ++j) {
+    for (int i = 0; i + 1 < cols; ++i) {
+      f(at(i, j), at(i + 1, j), at(i + 1, j + 1));
+      f(at(i, j), at(i + 1, j + 1), at(i, j + 1));
+    }
+  }
+}
+
 TEST(SpanEquivalenceFuzz, RandomTriangles) {
   dcsn::util::Rng rng(2024);
   for (int iter = 0; iter < 300; ++iter) {
@@ -119,6 +166,16 @@ TEST(SpanEquivalenceFuzz, RandomTriangles) {
     const MeshVertex c = vtx(coord(-20, 84), coord(-20, 68),
                              rng.uniform_f(), rng.uniform_f());
     expect_equivalent(a, b, c, "random triangle");
+  }
+  // Tiny-triangle family: every triangle of small, partly folded ribbons,
+  // some hanging off the target's edges — where the span kernel blends
+  // most spans inline rather than through the batched kernel.
+  for (int iter = 0; iter < 12; ++iter) {
+    const auto ribbon = tiny_ribbon(rng, -4.0, 68.0, -4.0, 52.0);
+    for_each_triangle(ribbon, kTinyCols, kTinyRows,
+                      [](const MeshVertex& a, const MeshVertex& b, const MeshVertex& c) {
+                        expect_equivalent(a, b, c, "tiny ribbon triangle");
+                      });
   }
 }
 
@@ -412,6 +469,42 @@ TEST(SpanEquivalence, TileClippedSpansMatchFullTargetBitwise) {
           ASSERT_EQ(full.at(x + 32, y), tile.at(x, y))
               << "algo " << static_cast<int>(algo) << " triangle " << i
               << " pixel (" << x << ", " << y << ")";
+        }
+      }
+    }
+
+    // Tiny ribbons (partly folded) straddling the tile edge, drawn as whole
+    // meshes: the tile matches the full target bit for bit, and
+    // rasterize_mesh matches rasterize_triangle over the same triangles in
+    // the same order — the mesh-level state the span kernel keeps between
+    // triangles never shows in a pixel.
+    for (int i = 0; i < 60; ++i) {
+      const auto ribbon = tiny_ribbon(rng, 22.0, 42.0, 4.0, 60.0);
+      const auto weight = static_cast<float>(rng.uniform(-1.0, 1.0));
+      for (const BlendMode mode : {BlendMode::kAdditive, BlendMode::kMaximum}) {
+        Framebuffer full(64, 64);
+        Framebuffer tile(32, 64);
+        Framebuffer by_triangle(64, 64);
+        RasterStats stats;
+        dcsn::render::rasterize_mesh({full.pixels(), 0, 0, algo}, ribbon, kTinyCols,
+                                     kTinyRows, weight, profile, mode, stats);
+        dcsn::render::rasterize_mesh({tile.pixels(), 32, 0, algo}, ribbon, kTinyCols,
+                                     kTinyRows, weight, profile, mode, stats);
+        for_each_triangle(ribbon, kTinyCols, kTinyRows,
+                          [&](const MeshVertex& a, const MeshVertex& b,
+                              const MeshVertex& c) {
+                            dcsn::render::rasterize_triangle(
+                                {by_triangle.pixels(), 0, 0, algo}, a, b, c, weight,
+                                profile, mode, stats);
+                          });
+        ASSERT_TRUE(full == by_triangle)
+            << "algo " << static_cast<int>(algo) << " ribbon " << i;
+        for (int y = 0; y < 64; ++y) {
+          for (int x = 0; x < 32; ++x) {
+            ASSERT_EQ(full.at(x + 32, y), tile.at(x, y))
+                << "algo " << static_cast<int>(algo) << " ribbon " << i
+                << " pixel (" << x << ", " << y << ")";
+          }
         }
       }
     }

@@ -1,11 +1,44 @@
 // Tests for spot transformation: point, ellipse and bent spot geometry.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <vector>
 
 #include "core/spot_geometry.hpp"
 #include "field/analytic.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+
+// A counting replacement for the global allocation functions, confined to
+// this test binary: the allocation test below measures the heap traffic of
+// SpotGeometryGenerator::generate. Array and nothrow forms route through
+// these by default.
+namespace {
+std::atomic<std::int64_t> g_allocations{0};
+}  // namespace
+
+// GCC cannot tell a replacement operator delete from a mismatched free().
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace {
 
@@ -262,6 +295,157 @@ TEST(SpotGeometry, SubstepsImproveSpineAccuracy) {
     return worst;
   };
   EXPECT_LT(spine_error(8), spine_error(1));
+}
+
+// --------------------------------------------- bent spots vs whole traces ---
+
+// The bent mesh built the long way round: StreamlineTracer::trace's whole
+// polyline, every substeps-th point from the seed mapped to pixels and swept
+// across — or, with fewer than two spine points, the point-spot fallback.
+render::CommandBuffer bent_from_trace(const core::SpotGeometryGenerator& gen,
+                                      const field::VectorField& f,
+                                      const core::SpotInstance& spot) {
+  const core::SynthesisConfig& c = gen.config();
+  const int cols = c.bent.mesh_cols;
+  const int rows = c.bent.mesh_rows;
+  const int substeps = c.bent.trace_substeps;
+  const int fwd = (cols - 1) / 2;
+  const int bwd = (cols - 1) - fwd;
+  const particles::Streamline line =
+      gen.tracer().trace(f, spot.position, fwd * substeps, bwd * substeps);
+  const Rect& world = gen.mapping().world();
+  std::vector<Vec2> pos;
+  std::vector<Vec2> normal;
+  for (std::size_t k = line.seed_index % static_cast<std::size_t>(substeps);
+       k < line.size(); k += static_cast<std::size_t>(substeps)) {
+    const auto [px, py] = gen.mapping().map(line.points[k]);
+    const Vec2 t{line.tangents[k].x * (c.texture_width / world.width()),
+                 -line.tangents[k].y * (c.texture_height / world.height())};
+    const double len = t.length();
+    pos.push_back({px, py});
+    normal.push_back(len > 1e-12 ? t.perp() / len : Vec2{0.0, 1.0});
+  }
+
+  render::CommandBuffer out;
+  const auto intensity = static_cast<float>(spot.intensity * c.intensity_scale);
+  if (pos.size() < 2) {
+    const auto [px, py] = gen.mapping().map(spot.position);
+    const auto h = static_cast<float>(c.spot_radius_px);
+    const auto cx = static_cast<float>(px);
+    const auto cy = static_cast<float>(py);
+    auto v = out.add_mesh(intensity, 2, 2);
+    v[0] = {cx - h, cy - h, 0.0f, 0.0f};
+    v[1] = {cx + h, cy - h, 1.0f, 0.0f};
+    v[2] = {cx - h, cy + h, 0.0f, 1.0f};
+    v[3] = {cx + h, cy + h, 1.0f, 1.0f};
+    return out;
+  }
+  const int n = static_cast<int>(pos.size());
+  auto v = out.add_mesh(intensity, n, rows);
+  const double width_px = 2.0 * c.spot_radius_px;
+  for (int j = 0; j < rows; ++j) {
+    const double across = (static_cast<double>(j) / (rows - 1) - 0.5) * width_px;
+    for (int i = 0; i < n; ++i) {
+      const Vec2 p = pos[static_cast<std::size_t>(i)] +
+                     normal[static_cast<std::size_t>(i)] * across;
+      v[static_cast<std::size_t>(j * n + i)] = {
+          static_cast<float>(p.x), static_cast<float>(p.y),
+          static_cast<float>(i) / static_cast<float>(n - 1),
+          static_cast<float>(j) / static_cast<float>(rows - 1)};
+    }
+  }
+  return out;
+}
+
+bool same_bytes(const render::CommandBuffer& a, const render::CommandBuffer& b) {
+  if (a.mesh_count() != 1 || b.mesh_count() != 1) return false;
+  const auto& ha = a.meshes()[0];
+  const auto& hb = b.meshes()[0];
+  if (ha.cols != hb.cols || ha.rows != hb.rows || ha.intensity != hb.intensity) {
+    return false;
+  }
+  const auto va = a.vertices_of(ha);
+  const auto vb = b.vertices_of(hb);
+  return std::memcmp(va.data(), vb.data(), va.size_bytes()) == 0;
+}
+
+TEST(SpotGeometry, BentMeshEqualsMeshFromWholeTrace) {
+  // generate() and StreamlineTracer::trace record the same march two ways
+  // (a fixed spine array vs whole vectors); the meshes must agree byte for
+  // byte, including where a trace stops early.
+  struct Case {
+    const char* name;
+    std::unique_ptr<field::VectorField> field;
+  };
+  const Rect square{0, 0, 256, 256};
+  std::vector<Case> cases;
+  cases.push_back({"vortex", field::analytic::rankine_vortex({128, 128}, 800.0, 30.0,
+                                                             square)});
+  cases.push_back({"uniform", field::analytic::uniform({1.0, 0.3}, square)});
+  // Seeds near the left/right edges: upstream or downstream leaves the
+  // domain within a few steps.
+  cases.push_back(
+      {"domain exit", field::analytic::uniform({1.0, 0.0}, Rect{0, 0, 24, 256})});
+  // Flow that stops dead at x = 128: downstream marches stagnate there, and
+  // seeds beyond it fall back to point spots.
+  cases.push_back({"stagnation", std::make_unique<field::CallableField>(
+                                     [](Vec2 p) {
+                                       return p.x < 128.0 ? Vec2{1.0, 0.2} : Vec2{};
+                                     },
+                                     square, 1.02)});
+  for (const Case& c : cases) {
+    for (const int substeps : {1, 4, 14}) {
+      auto config = base_config();
+      config.kind = core::SpotKind::kBent;
+      config.spot_radius_px = 3.0;
+      config.bent.mesh_cols = 16;
+      config.bent.mesh_rows = 3;
+      config.bent.length_px = 40.0;
+      config.bent.trace_substeps = substeps;
+      const core::SpotGeometryGenerator gen(config, *c.field);
+      util::Rng rng(31);
+      const Rect d = c.field->domain();
+      for (int k = 0; k < 60; ++k) {
+        const core::SpotInstance spot{{rng.uniform(d.x0, d.x1), rng.uniform(d.y0, d.y1)},
+                                      rng.uniform(-1.0, 1.0)};
+        render::CommandBuffer generated;
+        gen.generate(spot, generated);
+        EXPECT_TRUE(same_bytes(generated, bent_from_trace(gen, *c.field, spot)))
+            << c.name << ", substeps " << substeps << ", spot " << k;
+      }
+    }
+  }
+}
+
+TEST(SpotGeometry, BentGenerateAllocatesNothing) {
+  auto config = base_config();
+  config.kind = core::SpotKind::kBent;
+  config.spot_radius_px = 3.0;
+  config.bent.mesh_cols = 16;
+  config.bent.mesh_rows = 3;
+  config.bent.length_px = 22.0;
+  config.bent.trace_substeps = 4;
+  const Rect domain{0, 0, 4, 4};
+  const auto f = field::analytic::rankine_vortex({2, 2}, 1.2, 0.8, domain);
+  const core::SpotGeometryGenerator gen(config, *f);
+  util::Rng rng(5);
+  const auto spots = core::make_random_spots(domain, 200, rng);
+
+  render::CommandBuffer buf;
+  buf.reserve(spots.size(), static_cast<std::size_t>(config.vertices_per_spot()));
+  // The counter sees this binary's allocations (else the test proves
+  // nothing). Called through a volatile pointer so the pair cannot be elided.
+  void* (*volatile allocate)(std::size_t) = &::operator new;
+  const std::int64_t probe = g_allocations.load();
+  ::operator delete(allocate(16));
+  ASSERT_GT(g_allocations.load(), probe);
+
+  const std::int64_t before = g_allocations.load();
+  for (const core::SpotInstance& spot : spots) gen.generate(spot, buf);
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_EQ(buf.mesh_count(), spots.size());
+  // Ribbons, not point-spot fallbacks.
+  EXPECT_GT(buf.quad_count(), static_cast<std::int64_t>(spots.size()));
 }
 
 // ------------------------------------------------------------- max extent ---
