@@ -18,7 +18,9 @@
 //      through the dispatched tier) and setup (the rest of the pass);
 //   5. repeats equivalence, throughput and that split on the small-triangle
 //      regime — the served animation frame's mesh shape, ~2.2 fragments per
-//      triangle, where per-triangle setup sets the cost (small.* keys);
+//      triangle, where per-triangle setup sets the cost (small.* keys), and
+//      reports the share of its triangles the 8-lane row solve handles
+//      (small.narrow_share);
 //   6. runs the whole DnC engine once per algorithm and reports the
 //      eq. 3.2 modeled frame seconds;
 //   7. gates: span must reach >= 2.0x reference throughput (1.5x with
@@ -437,6 +439,12 @@ struct SmallRegime {
     return static_cast<double>(span.stats.fragments) /
            static_cast<double>(triangles);
   }
+  /// Share of drawn triangles whose rows the 8-lane solve found.
+  [[nodiscard]] double narrow_share() const {
+    return span.stats.triangles > 0 ? static_cast<double>(span.stats.narrow_triangles) /
+                                          static_cast<double>(span.stats.triangles)
+                                    : 0.0;
+  }
 };
 
 // Replay time of one pass's captured spans through the dispatched kernel
@@ -473,9 +481,10 @@ SmallRegime run_small_regime(bool smoke) {
   std::vector<float*> ptrs;
   out.kernel_seconds =
       kernel_pass_seconds(work, dst, ptrs, smoke ? 0.05 : 0.15, smoke ? 3 : 4);
-  std::printf("  span: %.1f ns/triangle, %.2f frags/triangle, %.2f Mfrag/s\n",
+  std::printf("  span: %.1f ns/triangle, %.2f frags/triangle, %.2f Mfrag/s,"
+              " %.1f%% lane-solved\n",
               out.ns_per_triangle(), out.frags_per_triangle(),
-              out.span.frags_per_second / 1e6);
+              out.span.frags_per_second / 1e6, 100.0 * out.narrow_share());
   std::printf("  per pass: %.3f ms total = %.3f ms setup + %.3f ms %s kernel"
               " (%zu spans, mean length %.2f)\n",
               out.span.pass_seconds * 1e3, out.setup_seconds() * 1e3,
@@ -646,6 +655,7 @@ int main(int argc, char** argv) {
     report.set("small.frags_per_triangle", small.frags_per_triangle());
     report.set("small.ns_per_triangle", small.ns_per_triangle());
     report.set("small.frags_per_second", small.span.frags_per_second);
+    report.set("small.narrow_share", small.narrow_share());
     report.set("small.spans.mean_length", small.spans_mean_length);
     report.set("small.layer.setup_seconds", small.setup_seconds());
     report.set("small.layer.kernel_seconds", small.kernel_seconds);

@@ -1,6 +1,7 @@
 #include "render/rasterizer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/simd.hpp"
@@ -253,19 +254,84 @@ void raster_tri_reference(Raster& ctx, const MeshVertex& va, const MeshVertex& v
 // kSpan: scanline span solve + incremental row kernel.
 // ---------------------------------------------------------------------------
 
-// One edge's contribution to a row's covered interval, classified once per
-// triangle by the sign of dy (fixed across the raster):
-//
-//   dy > 0 — edge values fall with kx, the admitted set is a prefix: the
-//            edge bounds the span on the right;
-//   dy < 0 — values rise with kx, admitted set is a suffix: a left bound;
-//   dy == 0 — constant across the row: admits the whole row or none of it.
+// A row's geometric covered interval [g_lo, g_hi) inside the solve window
+// [gfloor, gceil), in anchor-relative kx units. Two interchangeable solvers
+// find it; both decide every column with the exact admission comparison
+// below, so they return the same interval bit for bit.
 //
 // Admission must be bit-identical to edge_admits(e, edge_value(e, r, kx)):
 // edge_value = fl(r - m) with m = fl(kx * dy); fl(r - m) > 0 iff r > m and
 // fl(r - m) == 0 iff r == m (IEEE subtraction preserves sign and is zero
 // only for equal operands), so admission reduces to the exact comparison
-// m < r, or m <= r on a top-left edge.
+// m < r, or m <= r on a top-left edge. m is monotone in kx (rounding is
+// monotone), so each edge admits a prefix of the window (dy > 0: a right
+// bound), a suffix (dy < 0: a left bound), or all or none of it (dy == 0,
+// either sign of zero: m is a zero and the test is r's sign) — and the
+// columns all three admit form one interval.
+
+// Windows at most this wide take the lane solve: two 4-float vectors, the
+// width every SIMD baseline (SSE2, NEON) handles natively. Wider generic
+// vectors get split element by element on a baseline x86-64 build.
+constexpr int kLanes = 8;
+using Lane4f = float __attribute__((vector_size(16)));
+using Lane4i = std::int32_t __attribute__((vector_size(16)));
+
+// The lane solve, for narrow windows (nearly every triangle of a served
+// spot ribbon): every window column is tested against all three edges at
+// once in kLanes float lanes, and the interval runs from the first admitted
+// lane to the last. No seed, no data-dependent loop exit. The products
+// m = fl(kx * dy) do not depend on the row, so they are set up once per
+// triangle; a row costs three row values and a dozen 4-lane compares.
+struct LaneSolve {
+  struct LaneEdge {
+    Lane4f m_lo, m_hi;  ///< fl(kx * dy) for window columns 0-3 and 4-7
+    Lane4i top_left;    ///< all-ones on a top-left edge (admits m == r)
+    float origin, dx;
+  };
+  LaneEdge edges[3];
+  int window;  ///< one bit per column inside [gfloor, gceil)
+  int gfloor;
+
+  LaneSolve(const TriSetup& s, int gfloor_, int width) : gfloor(gfloor_) {
+    Lane4f kx_lo, kx_hi;
+    for (int j = 0; j < 4; ++j) {
+      kx_lo[j] = static_cast<float>(gfloor + j);
+      kx_hi[j] = static_cast<float>(gfloor + 4 + j);
+    }
+    const Edge* src[3] = {&s.ab, &s.bc, &s.ca};
+    for (int i = 0; i < 3; ++i) {
+      edges[i].m_lo = kx_lo * src[i]->dy;
+      edges[i].m_hi = kx_hi * src[i]->dy;
+      edges[i].top_left = Lane4i{} - (src[i]->top_left ? 1 : 0);
+      edges[i].origin = src[i]->origin;
+      edges[i].dx = src[i]->dx;
+    }
+    window = (1 << std::clamp(width, 0, kLanes)) - 1;
+  }
+
+  bool row(int ky, int& g_lo, int& g_hi) const {
+    const float kyf = static_cast<float>(ky);
+    Lane4i in_lo = Lane4i{} - 1;
+    Lane4i in_hi = in_lo;
+    for (const LaneEdge& e : edges) {
+      const float r = e.origin + kyf * e.dx;
+      in_lo &= (e.m_lo < r) | ((e.m_lo == r) & e.top_left);
+      in_hi &= (e.m_hi < r) | ((e.m_hi == r) & e.top_left);
+    }
+    const Lane4i bits = (in_lo & Lane4i{1, 2, 4, 8}) | (in_hi & Lane4i{16, 32, 64, 128});
+    const auto mask =
+        static_cast<unsigned>((bits[0] | bits[1] | bits[2] | bits[3]) & window);
+    if (mask == 0) return false;
+    g_lo = gfloor + std::countr_zero(mask);
+    g_hi = gfloor + static_cast<int>(std::bit_width(mask));
+    return true;
+  }
+};
+
+// The walk, for wider windows. Each edge is classified once per triangle by
+// the sign of dy (fixed across the raster) into a flat, left or right
+// bound, and each sloped bound settles its boundary column by probing from
+// a seed.
 //
 // `base + ky * slope` is one past the x-intercept of the edge's zero line in
 // row ky — the column where the boundary usually sits, so each fixup loop
@@ -274,22 +340,80 @@ void raster_tri_reference(Raster& ctx, const MeshVertex& va, const MeshVertex& v
 // rounding never matters: the fixup loops decide with the exact comparison
 // and only walk farther when the seed is off, which the ~1e-4-pixel seed
 // error rarely causes.
-//
-// No member initializers: a triangle writes only the entries it classifies
-// and reads only those, and zero-filling all nine per triangle measured
-// ~10% of a tiny triangle's raster time.
-struct RowBound {
-  float dy, dx, origin;
-  bool top_left;
-  double base, slope;
-};
+struct WalkSolve {
+  // No member initializers: a triangle writes only the entries it
+  // classifies and reads only those, and zero-filling all nine per triangle
+  // measured ~10% of a tiny triangle's raster time.
+  struct RowBound {
+    float dy, dx, origin;
+    bool top_left;
+    double base, slope;
 
-// Seed clamped to [lo, hi]; NaN (overflowed intercepts) seeds lo.
-inline int seed_from(double est, int lo, int hi) {
-  if (est >= static_cast<double>(hi)) return hi;
-  if (est > static_cast<double>(lo)) return static_cast<int>(est);
-  return lo;
-}
+    [[nodiscard]] bool admits(int kx, float r) const {
+      const float m = static_cast<float>(kx) * dy;
+      return top_left ? (m <= r) : (m < r);
+    }
+  };
+  RowBound flat[3], left[3], right[3];
+  int n_flat = 0, n_left = 0, n_right = 0;
+  int gfloor, gceil;
+
+  WalkSolve(const TriSetup& s, int gfloor_, int gceil_, bool classify)
+      : gfloor(gfloor_), gceil(gceil_) {
+    if (!classify) return;
+    const Edge* edges[3] = {&s.ab, &s.bc, &s.ca};
+    for (const Edge* e : edges) {
+      RowBound b{e->dy, e->dx, e->origin, e->top_left, 0.0, 0.0};
+      if (e->dy == 0.0f) {
+        flat[n_flat++] = b;
+        continue;
+      }
+      const double inv_dy = 1.0 / static_cast<double>(e->dy);
+      b.base = static_cast<double>(e->origin) * inv_dy + 1.0;
+      b.slope = static_cast<double>(e->dx) * inv_dy;
+      if (e->dy > 0.0f) {
+        right[n_right++] = b;
+      } else {
+        left[n_left++] = b;
+      }
+    }
+  }
+
+  // Seed clamped to [gfloor, gceil]; NaN (overflowed intercepts) seeds gfloor.
+  [[nodiscard]] int seed(const RowBound& b, int ky) const {
+    const double est = b.base + ky * b.slope;
+    if (est >= static_cast<double>(gceil)) return gceil;
+    if (est > static_cast<double>(gfloor)) return static_cast<int>(est);
+    return gfloor;
+  }
+
+  bool row(int ky, int& g_lo, int& g_hi) const {
+    const float kyf = static_cast<float>(ky);
+    g_lo = gfloor;
+    g_hi = gceil;
+    for (int i = 0; i < n_flat; ++i) {
+      const float r = flat[i].origin + kyf * flat[i].dx;
+      if (!(r > 0.0f || (r == 0.0f && flat[i].top_left))) g_hi = gfloor;
+    }
+    for (int i = 0; i < n_right; ++i) {
+      const RowBound& b = right[i];
+      const float r = b.origin + kyf * b.dx;
+      int k = seed(b, ky);
+      while (k < gceil && b.admits(k, r)) ++k;
+      while (k > gfloor && !b.admits(k - 1, r)) --k;
+      g_hi = std::min(g_hi, k);
+    }
+    for (int i = 0; i < n_left; ++i) {
+      const RowBound& b = left[i];
+      const float r = b.origin + kyf * b.dx;
+      int k = seed(b, ky);
+      while (k < gceil && !b.admits(k, r)) ++k;
+      while (k > gfloor && b.admits(k - 1, r)) --k;
+      g_lo = std::max(g_lo, k);
+    }
+    return g_lo < g_hi;
+  }
+};
 
 // Spans up to this many fragments blend inline through
 // RowSampler::sample_at instead of queueing for the batched kernel: below
@@ -345,27 +469,6 @@ void raster_tri_span(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
   const int gfloor = std::max(0, klo - kGeomSlack);
   const int gceil = std::min(s.gx_end, kend + kGeomSlack);
 
-  // Classify the three edges once (dy's sign is fixed across the raster)
-  // and precompute each sloped edge's seed line.
-  RowBound flat[3], left[3], right[3];
-  int n_flat = 0, n_left = 0, n_right = 0;
-  const Edge* edges[3] = {&s.ab, &s.bc, &s.ca};
-  for (const Edge* e : edges) {
-    RowBound b{e->dy, e->dx, e->origin, e->top_left, 0.0, 0.0};
-    if (e->dy == 0.0f) {
-      flat[n_flat++] = b;
-      continue;
-    }
-    const double inv_dy = 1.0 / static_cast<double>(e->dy);
-    b.base = static_cast<double>(e->origin) * inv_dy + 1.0;
-    b.slope = static_cast<double>(e->dx) * inv_dy;
-    if (e->dy > 0.0f) {
-      right[n_right++] = b;
-    } else {
-      left[n_left++] = b;
-    }
-  }
-
   // Barycentric weights are affine across the raster, so UV is evaluated as
   // U00 + ky*du_dy + kx*du_dx with per-triangle double constants: within
   // ~1 ulp of the exact affine function anywhere in the bbox, no error
@@ -401,11 +504,18 @@ void raster_tri_span(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
 
   SpotProfile::RowSampler sampler(ctx.profile, du_dx, dv_dx);
 
+  // Narrow windows (nearly every triangle of a served spot ribbon) take the
+  // lane solve; only wider ones pay for the walk's edge classification and
+  // seed reciprocals.
+  const bool narrow = gceil - gfloor <= kLanes;
+  const LaneSolve lanes(s, gfloor, gceil - gfloor);
+  const WalkSolve walk(s, gfloor, gceil, /*classify=*/!narrow);
+  stats.narrow_triangles += narrow ? 1 : 0;
+
   std::int64_t fragments = 0;
   std::int64_t visited = 0;
   for (int y = s.y_min; y <= s.y_max; ++y) {
     const int ky = y - s.ay;
-    const float kyf = static_cast<float>(ky);
 
     // Solve the canonical edge functions for the *geometric* covered
     // interval [g_lo, g_hi) in anchor-relative kx units. Each bound's row
@@ -414,37 +524,9 @@ void raster_tri_span(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
     // admission comparison — coverage inside the target is bit-identical
     // to the reference by construction, and the boundaries themselves do
     // not depend on where the target clips the row.
-    int g_lo = gfloor;
-    int g_hi = gceil;
-    for (int i = 0; i < n_flat; ++i) {
-      const float r = flat[i].origin + kyf * flat[i].dx;
-      if (!(r > 0.0f || (r == 0.0f && flat[i].top_left))) g_hi = gfloor;
-    }
-    for (int i = 0; i < n_right; ++i) {
-      const RowBound& b = right[i];
-      const float r = b.origin + kyf * b.dx;
-      const auto admits = [&](int kx) {
-        const float m = static_cast<float>(kx) * b.dy;
-        return b.top_left ? (m <= r) : (m < r);
-      };
-      int k = seed_from(b.base + ky * b.slope, gfloor, gceil);
-      while (k < gceil && admits(k)) ++k;
-      while (k > gfloor && !admits(k - 1)) --k;
-      g_hi = std::min(g_hi, k);
-    }
-    for (int i = 0; i < n_left; ++i) {
-      const RowBound& b = left[i];
-      const float r = b.origin + kyf * b.dx;
-      const auto admits = [&](int kx) {
-        const float m = static_cast<float>(kx) * b.dy;
-        return b.top_left ? (m <= r) : (m < r);
-      };
-      int k = seed_from(b.base + ky * b.slope, gfloor, gceil);
-      while (k < gceil && !admits(k)) ++k;
-      while (k > gfloor && admits(k - 1)) --k;
-      g_lo = std::max(g_lo, k);
-    }
-    if (g_lo >= g_hi) continue;
+    int g_lo = 0;
+    int g_hi = 0;
+    if (!(narrow ? lanes.row(ky, g_lo, g_hi) : walk.row(ky, g_lo, g_hi))) continue;
 
     // The rendered interval is the geometric span clipped to the target.
     const int lo = std::max(g_lo, klo);

@@ -13,7 +13,9 @@
 //
 //   * kSpan (default) — a span-based scanline kernel. Per row the three
 //     canonical edge functions are solved for the exact covered interval
-//     [x_start, x_end); inside it u, v and the bilinear fetch are stepped
+//     [x_start, x_end) — on a triangle at most 8 columns wide by testing
+//     all its columns at once in 8 float lanes, on a wider one by a seeded
+//     walk to each boundary; inside it u, v and the bilinear fetch are stepped
 //     with per-triangle constants (SpotProfile::RowSampler) and blended
 //     through the util::simd kernels — a straight-line add/fetch/blend with
 //     no per-fragment branches, and no iterations spent on rejected pixels.
@@ -85,12 +87,16 @@ struct RasterStats {
   /// fragments / pixels_visited is the fill efficiency the span kernel buys;
   /// bench_raster_kernel reports it as the visited ratio.
   std::int64_t pixels_visited = 0;
+  /// kSpan triangles whose solve window was at most 8 columns wide, so every
+  /// row was solved in one pass of 8 lanes instead of by the seeded walk.
+  std::int64_t narrow_triangles = 0;
 
   RasterStats& operator+=(const RasterStats& o) {
     triangles += o.triangles;
     quads += o.quads;
     fragments += o.fragments;
     pixels_visited += o.pixels_visited;
+    narrow_triangles += o.narrow_triangles;
     return *this;
   }
 };

@@ -244,8 +244,11 @@ constexpr KernelTable kSse2Table = {
 // table, and the lerp/quantize/blend is straight-line vector float math.
 // Compiled with the per-function target attribute, so the translation unit
 // itself needs no -mavx2 and the binary still boots on SSE2-only hosts.
+// Every AVX2 function starts on a 64-byte boundary, so the placement of its
+// loops does not move when unrelated code changes size: a 32-byte shift of
+// sample_rows_avx2 measured ~20% slower span replay on a 4-vCPU AVX2 host.
 // ---------------------------------------------------------------------------
-#define DCSN_TARGET_AVX2 __attribute__((target("avx2")))
+#define DCSN_TARGET_AVX2 __attribute__((target("avx2"), aligned(64)))
 
 DCSN_TARGET_AVX2 inline __m256 quantize256(__m256 v) {
   const __m256 x = _mm256_mul_ps(v, _mm256_set1_ps(kContributionScale));

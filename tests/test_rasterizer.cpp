@@ -177,6 +177,63 @@ TEST(SpanEquivalenceFuzz, RandomTriangles) {
                         expect_equivalent(a, b, c, "tiny ribbon triangle");
                       });
   }
+
+  const auto coord = [&](float lo, float hi) {
+    return static_cast<float>(rng.uniform(lo, hi));
+  };
+
+  // The lane-solve cut-over: triangles whose solve window (the bbox columns
+  // floor(min x) .. ceil(max x)) is exactly 7, 8 or 9 wide. 7 and 8 take the
+  // 8-lane row solve, 9 the seeded walk; RasterStats says which ran.
+  for (const int width : {7, 8, 9}) {
+    for (int iter = 0; iter < 60; ++iter) {
+      const float x0 = std::floor(coord(-3, 54));
+      const float left = x0 + coord(0.05f, 0.95f);
+      const float right = x0 + static_cast<float>(width - 2) + coord(0.05f, 0.95f);
+      const float y0 = coord(-3, 40);
+      const MeshVertex a = vtx(left, y0 + coord(0, 10), rng.uniform_f(), rng.uniform_f());
+      const MeshVertex b = vtx(right, y0 + coord(0, 10), rng.uniform_f(), rng.uniform_f());
+      const MeshVertex c =
+          vtx(coord(left, right), y0 + coord(0, 10), rng.uniform_f(), rng.uniform_f());
+      expect_equivalent(a, b, c, "cut-over window");
+      const TriRun run = run_triangle(RasterAlgorithm::kSpan, a, b, c, coverage_profile());
+      EXPECT_EQ(run.stats.narrow_triangles, width <= 8 ? run.stats.triangles : 0)
+          << "window " << width;
+    }
+  }
+
+  // Vertices on pixel centres: edge values hit exactly zero on the pixels
+  // the edges pass through, so the top-left rule decides them. Each quad is
+  // split along its diagonal into the two triangles the mesh rasterizer
+  // draws — the shared diagonal is top-left for exactly one of them — and
+  // sizes span both solvers.
+  const auto centre = [&](int lo, int hi) {
+    return static_cast<float>(static_cast<int>(rng.uniform(lo, hi))) + 0.5f;
+  };
+  for (int iter = 0; iter < 150; ++iter) {
+    const float x = centre(-2, 50);
+    const float y = centre(-2, 36);
+    const MeshVertex v00 = vtx(x, y);
+    const MeshVertex v10 = vtx(x + centre(1, 12), y + centre(-3, 3));
+    const MeshVertex v11 = vtx(x + centre(1, 12), y + centre(1, 10));
+    const MeshVertex v01 = vtx(x + centre(-3, 3), y + centre(1, 10));
+    expect_equivalent(v00, v10, v11, "pixel-centre quad, first half");
+    expect_equivalent(v00, v11, v01, "pixel-centre quad, second half");
+  }
+
+  // Flat edges, on and off pixel-centre rows. A flat top edge runs in +x
+  // (top-left: its zero row is drawn); a flat bottom edge runs in -x, so
+  // its canonical ordering flips it and its dy is -0.0f (not top-left: its
+  // zero row belongs to the neighbour below).
+  for (int iter = 0; iter < 80; ++iter) {
+    const float yc = iter % 2 == 0 ? centre(2, 40) : coord(2, 40);
+    const float x0 = coord(-3, 50);
+    const float x1 = x0 + coord(1, 14);
+    const float apex_x = coord(x0 - 3, x1 + 3);
+    const float h = coord(0.5f, 9);
+    expect_equivalent(vtx(x0, yc), vtx(x1, yc), vtx(apex_x, yc + h), "flat top edge");
+    expect_equivalent(vtx(x0, yc), vtx(x1, yc), vtx(apex_x, yc - h), "flat bottom edge");
+  }
 }
 
 TEST(SpanEquivalenceFuzz, NeedleTriangles) {
@@ -469,6 +526,43 @@ TEST(SpanEquivalence, TileClippedSpansMatchFullTargetBitwise) {
           ASSERT_EQ(full.at(x + 32, y), tile.at(x, y))
               << "algo " << static_cast<int>(algo) << " triangle " << i
               << " pixel (" << x << ", " << y << ")";
+        }
+      }
+    }
+
+    // Narrow triangles straddling the tile edge, on and off pixel centres:
+    // the solve window (at most ~10 columns, so most take the lane solve)
+    // extends past whichever tile clips the triangle, and both tiles match
+    // the full target bit for bit.
+    for (int i = 0; i < 300; ++i) {
+      const auto coord = [&](double lo, double hi) {
+        const auto v = static_cast<float>(rng.uniform(lo, hi));
+        return i % 3 == 0 ? std::floor(v) + 0.5f : v;
+      };
+      const float x0 = static_cast<float>(rng.uniform(24.0, 33.0));
+      const float y0 = static_cast<float>(rng.uniform(0.0, 56.0));
+      const MeshVertex a{coord(x0, x0 + 8), coord(y0, y0 + 8), coord(0, 1), coord(0, 1)};
+      const MeshVertex b{coord(x0, x0 + 8), coord(y0, y0 + 8), coord(0, 1), coord(0, 1)};
+      const MeshVertex c{coord(x0, x0 + 8), coord(y0, y0 + 8), coord(0, 1), coord(0, 1)};
+      const auto weight = static_cast<float>(rng.uniform(-1.0, 1.0));
+      Framebuffer full(64, 64);
+      Framebuffer left(32, 64);
+      Framebuffer right(32, 64);
+      RasterStats stats;
+      dcsn::render::rasterize_triangle({full.pixels(), 0, 0, algo}, a, b, c, weight,
+                                       profile, BlendMode::kAdditive, stats);
+      dcsn::render::rasterize_triangle({left.pixels(), 0, 0, algo}, a, b, c, weight,
+                                       profile, BlendMode::kAdditive, stats);
+      dcsn::render::rasterize_triangle({right.pixels(), 32, 0, algo}, a, b, c, weight,
+                                       profile, BlendMode::kAdditive, stats);
+      for (int y = 0; y < 64; ++y) {
+        for (int x = 0; x < 32; ++x) {
+          ASSERT_EQ(full.at(x, y), left.at(x, y))
+              << "algo " << static_cast<int>(algo) << " narrow triangle " << i
+              << " pixel (" << x << ", " << y << ")";
+          ASSERT_EQ(full.at(x + 32, y), right.at(x, y))
+              << "algo " << static_cast<int>(algo) << " narrow triangle " << i
+              << " pixel (" << x + 32 << ", " << y << ")";
         }
       }
     }

@@ -3,6 +3,7 @@
 // correctness, and the engine's bookkeeping.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -211,6 +212,85 @@ TEST(DncSynthesizer, BentSpotsMatchSerial) {
   const double sigma = render::texture_stddev(serial.texture());
   EXPECT_LT(max_abs_difference(serial.texture(), engine.texture()),
             1e-4 * sigma + 1e-6);
+}
+
+// Counts sample() calls, so a test can see how many streamline traces the
+// engine ran.
+class CountingField final : public field::VectorField {
+ public:
+  explicit CountingField(const field::VectorField& inner) : inner_(inner) {}
+  [[nodiscard]] field::Vec2 sample(field::Vec2 p) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.sample(p);
+  }
+  [[nodiscard]] Rect domain() const override { return inner_.domain(); }
+  [[nodiscard]] double max_magnitude() const override { return inner_.max_magnitude(); }
+  std::int64_t take() { return calls_.exchange(0); }
+
+ private:
+  const field::VectorField& inner_;
+  mutable std::atomic<std::int64_t> calls_{0};
+};
+
+TEST(DncSynthesizer, SeamSpotsTracedOncePerFrame) {
+  // Bent spots crowded onto the seams of a 2x2 tile grid: nearly every spot
+  // is assigned to two or four tiles. The trace-once memo must render them
+  // bit-identically to the one-pipe engine, with and without stealing, while
+  // tracing each spot about once — the field sees no more than 1.05x the
+  // one-pipe engine's samples.
+  auto config = small_config();
+  config.kind = core::SpotKind::kBent;
+  config.bent.mesh_cols = 16;
+  config.bent.mesh_rows = 3;
+  config.bent.length_px = 22.0;
+  config.spot_radius_px = 3.0;
+  config.spot_count = 600;
+  const Rect domain{0, 0, 2, 2};
+  const auto vortex = field::analytic::rankine_vortex({1.0, 1.0}, 1.0, 0.5, domain);
+  CountingField f(*vortex);
+  // Within 0.1 world units (6.4 px) of the x = 1 or y = 1 seam; the spot
+  // extent is 15 px, so every spot straddles a seam.
+  util::Rng rng(20261017);
+  std::vector<core::SpotInstance> spots(static_cast<std::size_t>(config.spot_count));
+  for (std::size_t k = 0; k < spots.size(); ++k) {
+    const double along = rng.uniform(0.05, 1.95);
+    const double across = 1.0 + rng.uniform(-0.1, 0.1);
+    spots[k].position = k % 2 == 0 ? field::Vec2{across, along} : field::Vec2{along, across};
+    spots[k].intensity = rng.intensity();
+  }
+
+  core::DncConfig single;
+  single.processors = 2;
+  single.pipes = 1;
+  core::DncSynthesizer reference(config, single);
+  (void)f.take();
+  (void)reference.synthesize(f, spots);
+  const std::int64_t single_samples = f.take();
+  ASSERT_GT(single_samples, 0);
+
+  for (const bool steal : {true, false}) {
+    core::DncConfig tiled;
+    tiled.processors = 8;
+    tiled.pipes = 4;
+    tiled.tiled = true;
+    tiled.steal = steal;
+    tiled.chunk_spots = 16;
+    core::DncSynthesizer engine(config, tiled);
+    // Several frames: the memo's slots are reset and its blocks reused.
+    for (int frame = 0; frame < 3; ++frame) {
+      const core::FrameStats stats = engine.synthesize(f, spots);
+      const std::int64_t samples = f.take();
+      EXPECT_TRUE(engine.texture() == reference.texture())
+          << "steal " << steal << " frame " << frame;
+      EXPECT_GT(stats.duplicated_spots, config.spot_count / 2);
+      EXPECT_GT(stats.geometry_reused, 0);
+      EXPECT_LE(stats.geometry_reused, stats.duplicated_spots);
+      EXPECT_LE(static_cast<double>(samples), 1.05 * static_cast<double>(single_samples))
+          << "steal " << steal << " frame " << frame << ": " << samples << " vs "
+          << single_samples << " samples, " << stats.geometry_reused << " of "
+          << stats.duplicated_spots << " duplicates copied";
+    }
+  }
 }
 
 TEST(DncSynthesizer, RepeatedFramesAreStable) {
