@@ -18,8 +18,11 @@
 //   2. compares eq. 3.2 modeled frame seconds (FrameStats, thread-CPU
 //      based — meaningful on a loaded 1-core CI host), charging the
 //      cache's own planning time to the incremental side;
-//   3. reports reuse accounting (tiles_reused, spots_skipped) and the
-//      PerfModel::predict_incremental estimate next to the measurement;
+//   3. reports reuse accounting (tiles_reused, spots_skipped, and the
+//      spots the incremental engine rendered: a dirty tile renders only
+//      its delta — the moved spots' old instances negated plus their new
+//      ones) and the PerfModel::predict_incremental estimate next to the
+//      measurement;
 //   4. gates: modeled speedup >= 2.0x (>= 1.4x with --smoke, whose small
 //      frames leave the fixed per-frame costs unamortized), else exits
 //      nonzero.
@@ -190,9 +193,11 @@ int main(int argc, char** argv) {
               full_modeled, incr_modeled, speedup, gate);
   std::printf("  model prediction:        full %.4fs, incremental %.4fs\n",
               predicted_full, predicted_incr);
-  std::printf("  reuse: %.1f tiles/frame, %.0f spots skipped/frame, bitwise %s\n",
+  std::printf("  reuse: %.1f tiles/frame, %.0f spots skipped/frame, %.0f rendered/frame,"
+              " bitwise %s\n",
               static_cast<double>(tiles_reused) / frames,
               static_cast<double>(spots_skipped) / frames,
+              static_cast<double>(spots_rendered) / frames,
               identical ? "identical" : "DIFFERS");
 
   if (!json_path.empty()) {
@@ -210,6 +215,8 @@ int main(int argc, char** argv) {
                static_cast<double>(tiles_reused) / frames);
     report.set("incremental.spots_skipped_per_frame",
                static_cast<double>(spots_skipped) / frames);
+    report.set("incremental.spots_rendered_per_frame",
+               static_cast<double>(spots_rendered) / frames);
     report.set("model.predicted_full_seconds", predicted_full);
     report.set("model.predicted_incremental_seconds", predicted_incr);
     // Lattice-budget canary: exact summation needs per-pixel sums inside

@@ -33,9 +33,23 @@
 namespace dcsn::core {
 
 /// What the engine consumes for an incremental frame: one flag per tile,
-/// nonzero = the tile's spot set changed and it must be re-rendered.
+/// nonzero = the tile's spot set changed and it must be re-rendered, plus
+/// the change itself, so a dirty tile can be rendered as a delta.
+///
+/// The delta is exact: the last frame's texture plus (Σ added − Σ removed)
+/// over a tile equals re-rendering the tile (see "Temporal coherence" in
+/// docs/ARCHITECTURE.md). `removed` and `added` must therefore describe the
+/// whole change against the frame the engine rendered last; SynthesisCache
+/// builds them. A plan with both empty carries no delta: its dirty tiles
+/// render from scratch.
 struct FramePlan {
   std::vector<std::uint8_t> tile_dirty;
+  /// The last frame's instances of the moved and dying spots, intensity
+  /// negated: rendered, they subtract the old contributions. Owned, not a
+  /// view of the cache's snapshot, which the next commit replaces.
+  std::vector<SpotInstance> removed;
+  /// Indices into this frame's spots of the moved and born spots.
+  std::vector<std::int64_t> added;
 
   [[nodiscard]] std::int64_t dirty_count() const {
     std::int64_t n = 0;

@@ -1,11 +1,49 @@
 #include "core/synthesis_cache.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "core/spot_geometry.hpp"
 
 namespace dcsn::core {
+
+namespace {
+
+bool finite_spot(const SpotInstance& s) {
+  return std::isfinite(s.position.x) && std::isfinite(s.position.y) &&
+         std::isfinite(s.intensity);
+}
+
+// The plan's delta: each moved or dying spot's old instance with its
+// intensity negated, and the index of each moved or born spot. Left empty
+// when a changed spot is not finite — a NaN or infinite contribution does
+// not cancel — so the dirty tiles render from scratch.
+void fill_delta(const FrameDelta& delta, std::span<const SpotInstance> prev,
+                std::span<const SpotInstance> cur, FramePlan& plan) {
+  const std::size_t shared = std::min(prev.size(), cur.size());
+  for (const std::int64_t k : delta.changed) {
+    plan.removed.push_back(prev[static_cast<std::size_t>(k)]);
+    plan.added.push_back(k);
+  }
+  for (std::size_t k = shared; k < prev.size(); ++k) plan.removed.push_back(prev[k]);
+  for (std::size_t k = shared; k < cur.size(); ++k) {
+    plan.added.push_back(static_cast<std::int64_t>(k));
+  }
+  const bool finite =
+      std::ranges::all_of(plan.removed, finite_spot) &&
+      std::ranges::all_of(plan.added, [&](std::int64_t k) {
+        return finite_spot(cur[static_cast<std::size_t>(k)]);
+      });
+  if (!finite) {
+    plan.removed.clear();
+    plan.added.clear();
+    return;
+  }
+  for (SpotInstance& s : plan.removed) s.intensity = -s.intensity;
+}
+
+}  // namespace
 
 SynthesisCache::Decision SynthesisCache::plan(const DncSynthesizer& engine,
                                               const field::VectorField& f,
@@ -57,6 +95,7 @@ SynthesisCache::Decision SynthesisCache::plan(const DncSynthesizer& engine,
   d.delta = diff_spots(spots_, spots);
   d.plan.tile_dirty = dirty_tiles(d.delta, spots_, spots, generator.mapping(),
                                   generator.max_extent_px(), tiles_);
+  fill_delta(d.delta, spots_, spots, d.plan);
   d.incremental = true;
   ++planned_streak_;
   return d;

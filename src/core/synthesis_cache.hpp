@@ -12,6 +12,14 @@
 // are bit-identical to a full resynthesis (the incremental fuzz suite
 // asserts exactly that).
 //
+// The plan also carries the change itself (FramePlan::removed, ::added):
+// the moved and dying spots' old instances with their intensity negated,
+// copied out of the snapshot, and the indices of the moved and born spots.
+// The engine renders a dirty tile as that delta when it is shorter than the
+// tile's full list and adds the result onto the retained pixels — exact for
+// the same lattice reason. A changed spot that is not finite leaves the
+// delta empty, and the dirty tiles render from scratch.
+//
 // Invalidation story — plan() falls back to a full frame whenever reuse
 // could be unsound:
 //   * explicit invalidate(): REQUIRED whenever field contents change in
@@ -67,7 +75,7 @@ class SynthesisCache {
   struct Decision {
     /// False: render a full frame (pass no plan to the engine).
     bool incremental = false;
-    FramePlan plan;    ///< valid when incremental
+    FramePlan plan;    ///< valid when incremental; owns its delta
     FrameDelta delta;  ///< diff vs the committed snapshot (incremental only)
   };
 

@@ -56,6 +56,19 @@ void Framebuffer::copy_rect_from(const Framebuffer& src, int x0, int y0) {
   }
 }
 
+void Framebuffer::add_rect_from(const Framebuffer& src, int x0, int y0) {
+  // Same signed-overflow hazard as copy_rect_from: widen before adding.
+  DCSN_CHECK(x0 >= 0 && y0 >= 0 &&
+                 static_cast<std::int64_t>(x0) + src.width_ <= width_ &&
+                 static_cast<std::int64_t>(y0) + src.height_ <= height_,
+             "tile must fit inside the destination");
+  const auto& kernels = util::simd::kernels();
+  for (int y = 0; y < src.height_; ++y) {
+    kernels.add(pixels().row(y + y0).data() + x0, src.pixels().row(y).data(),
+                static_cast<std::size_t>(src.width_));
+  }
+}
+
 void Framebuffer::extract_rect_into(Framebuffer& dst, int x0, int y0) const {
   // Same signed-overflow hazard as copy_rect_from: widen before adding.
   DCSN_CHECK(x0 >= 0 && y0 >= 0 &&

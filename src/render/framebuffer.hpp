@@ -51,6 +51,10 @@ class Framebuffer {
   /// Copies `src` into this buffer at offset (x0, y0) (tile composition).
   void copy_rect_from(const Framebuffer& src, int x0, int y0);
 
+  /// Adds `src` onto the rect at offset (x0, y0) — the accumulate of one
+  /// tile (how a delta-rendered tile lands on its retained pixels).
+  void add_rect_from(const Framebuffer& src, int x0, int y0);
+
   /// The inverse of copy_rect_from: copies the rect at (x0, y0) with `dst`'s
   /// dimensions out of this buffer into `dst` (tile extraction — how the
   /// incremental engine publishes a retained clean tile to the tile store

@@ -35,6 +35,17 @@
 // invariant is what the determinism suite asserts and what makes temporal
 // tile reuse (core::SynthesisCache) exactly equal to full resynthesis.
 //
+// Delta-rendered tiles lean on the same budget. An incremental frame renders
+// a dirty tile as Σnew − Σold over its moved spots (old instances with their
+// intensity negated) and adds that onto the retained pixels. The snap rounds
+// ties to even, so quantize(-v) == -quantize(v) and the old contributions
+// cancel exactly; every partial sum of the delta, and the retained pixel plus
+// the delta, stay lattice multiples. The requirement is that per pixel
+// Σ|old| + Σ|new| over the moved spots, like the full sum, stays below
+// kContributionExactBound; FrameStats::peak_pixel_magnitude folds in each
+// delta readback's peak. A snap never yields -0.0 and cleared targets start
+// at +0.0, so no sum ever holds a negative zero either.
+//
 // The quantum (7.6e-6) is ~500x below the 8-bit tone-map step at typical
 // texture contrast — invisible — and quantization costs three flops per
 // fragment next to a bilinear texture fetch.

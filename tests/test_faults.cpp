@@ -36,6 +36,7 @@
 #include "core/runtime.hpp"
 #include "core/service_clock.hpp"
 #include "core/spot_source.hpp"
+#include "core/synthesis_cache.hpp"
 #include "core/synthesis_service.hpp"
 #include "field/analytic.hpp"
 #include "util/error.hpp"
@@ -637,6 +638,97 @@ TEST(FaultTolerance, WatchdogTimesOutWedgedFrame) {
   EXPECT_THROW((void)service.submit(id, std::move(req)).result.get(),
                core::JobTimedOut);
   EXPECT_EQ(service.health().timeouts, 1);
+}
+
+TEST(FaultTolerance, FailedDeltaFrameKeepsPreviousFrameAndReplays) {
+  // An incremental frame renders its dirty tiles as deltas (old instances
+  // negated plus new ones). One that fails must leave the texture holding
+  // the previous frame — nothing is added onto the retained pixels — the
+  // cache's next plan must be a full frame, and the verdicts must replay
+  // under the same seed.
+  auto config = small_config();
+  config.spot_count = 40;  // few per-spot draws: full frames survive often
+  const auto field = field::analytic::taylor_green(1.0, kDomain);
+  core::DncConfig dnc = tiled_dnc();
+  dnc.tile_cache = false;
+  const auto first = frame_spots(config, 0);
+  auto moved = first;
+  for (std::size_t k = 0; k < 4; ++k) moved[k * 10].position.x += 0.01;
+
+  // Fault-free twin: the planned frame does take the delta path, and its
+  // full render is the oracle.
+  std::uint64_t expected = 0;
+  {
+    core::Runtime clean_runtime({.workers = 2});
+    core::DncSynthesizer clean(config, dnc, clean_runtime);
+    core::SynthesisCache cache;
+    (void)clean.synthesize(*field, first);
+    cache.commit(clean, *field, std::vector<core::SpotInstance>(first));
+    const core::SynthesisCache::Decision d = cache.plan(clean, *field, moved);
+    ASSERT_TRUE(d.incremental);
+    EXPECT_EQ(clean.synthesize(*field, moved, &d.plan).delta_tiles, dnc.pipes);
+    expected = clean.texture().content_hash();
+  }
+
+  // Per-spot submit faults strike before the gather; checkout faults strike
+  // in it, and with both tiles dirty one may hit the second tile only.
+  auto run_once = [&](FaultSite site, double rate) {
+    FaultPlan plan;
+    plan.seed = 0xde17aULL;
+    plan.rule(site).throw_rate = rate;
+    core::Runtime runtime(
+        {.workers = 2, .fault_injector = std::make_shared<FaultInjector>(plan)});
+    core::DncSynthesizer engine(config, dnc, runtime);
+    core::SynthesisCache cache;
+    core::FrameControl control;
+    std::vector<bool> verdicts;
+    auto attempt = [&](const std::vector<core::SpotInstance>& spots,
+                       const core::FramePlan* frame_plan) {
+      control.fault_key = verdicts.size() + 1;
+      engine.bind_frame_control(&control);
+      bool ok = true;
+      try {
+        (void)engine.synthesize(*field, spots, frame_plan);
+      } catch (const core::FaultInjected&) {
+        ok = false;
+      }
+      engine.bind_frame_control(nullptr);
+      verdicts.push_back(ok);
+      return ok;
+    };
+    auto render_full = [&](const std::vector<core::SpotInstance>& spots) {
+      for (int tries = 0; tries < 200; ++tries) {
+        if (attempt(spots, nullptr)) return true;
+      }
+      return false;
+    };
+
+    int failures = 0;
+    for (int tries = 0; tries < 60 && failures < 8; ++tries) {
+      if (!render_full(first)) break;
+      cache.commit(engine, *field, std::vector<core::SpotInstance>(first));
+      const render::Framebuffer previous = engine.texture();
+      const core::SynthesisCache::Decision d = cache.plan(engine, *field, moved);
+      EXPECT_TRUE(d.incremental);
+      if (!attempt(moved, &d.plan)) {
+        ++failures;
+        EXPECT_EQ(engine.texture(), previous)
+            << "a failed delta frame touched the retained texture";
+        EXPECT_FALSE(cache.plan(engine, *field, moved).incremental)
+            << "the frame after a failure must render in full";
+      }
+    }
+    EXPECT_GT(failures, 0) << "no delta frame failed; the case is vacuous";
+    EXPECT_TRUE(render_full(moved));
+    EXPECT_EQ(engine.texture().content_hash(), expected);
+    return verdicts;
+  };
+  for (const auto& [site, rate] : {std::pair{FaultSite::kPipeSubmit, 0.05},
+                                   std::pair{FaultSite::kFramebufferCheckout, 0.3}}) {
+    SCOPED_TRACE(core::fault_site_name(site));
+    const std::vector<bool> once = run_once(site, rate);
+    EXPECT_EQ(once, run_once(site, rate)) << "delta-frame verdicts must replay";
+  }
 }
 
 // ---------------------------------------------------------- replay --------

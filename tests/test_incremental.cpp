@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -16,9 +17,11 @@
 #include "core/frame_delta.hpp"
 #include "core/perf_model.hpp"
 #include "core/runtime.hpp"
+#include "core/spot_geometry.hpp"
 #include "core/spot_source.hpp"
 #include "core/synthesis_cache.hpp"
 #include "core/tile_store.hpp"
+#include "core/tiling.hpp"
 #include "field/analytic.hpp"
 #include "field/fingerprint.hpp"
 #include "particles/particle_system.hpp"
@@ -143,11 +146,17 @@ TEST(FrameDelta, DirtyTilesCoverOldAndNewExtent) {
 
 // Drives two identical tiled engines over the same mutating spot sequence:
 // one re-renders every frame, the other goes through SynthesisCache. Every
-// frame must match bitwise. Returns the number of frames that actually
-// reused at least one tile, so callers can assert the test exercised the
-// incremental path rather than degenerating to all-dirty frames.
-int fuzz_sequence(DncConfig dnc, std::uint64_t seed, int frames,
-                  double churn, bool force_invalidations) {
+// frame must match bitwise. Returns how many frames reused at least one
+// tile and how many tiles rendered as a delta, so callers can assert the
+// test exercised the incremental paths rather than degenerating to
+// all-dirty full frames.
+struct FuzzTotals {
+  int reused_frames = 0;
+  std::int64_t delta_tiles = 0;
+};
+
+FuzzTotals fuzz_sequence(DncConfig dnc, std::uint64_t seed, int frames,
+                         double churn, bool force_invalidations) {
   const SynthesisConfig sc = small_synthesis();
   const auto field = make_field();
   DncSynthesizer full(sc, dnc);
@@ -156,7 +165,7 @@ int fuzz_sequence(DncConfig dnc, std::uint64_t seed, int frames,
 
   util::Rng rng(seed);
   std::vector<SpotInstance> spots = random_spots(rng, sc.spot_count);
-  int reused_frames = 0;
+  FuzzTotals totals;
   for (int frame = 0; frame < frames; ++frame) {
     if (force_invalidations && frame % 17 == 11) cache.invalidate();
 
@@ -168,7 +177,8 @@ int fuzz_sequence(DncConfig dnc, std::uint64_t seed, int frames,
 
     EXPECT_EQ(full.texture(), incremental.texture())
         << "frame " << frame << " diverged (seed " << seed << ")";
-    if (stats.tiles_reused > 0) ++reused_frames;
+    if (stats.tiles_reused > 0) ++totals.reused_frames;
+    totals.delta_tiles += stats.delta_tiles;
 
     // Mutate for the next frame: moves, births, deaths.
     for (auto& s : spots) {
@@ -196,14 +206,15 @@ int fuzz_sequence(DncConfig dnc, std::uint64_t seed, int frames,
       }
     }
   }
-  return reused_frames;
+  return totals;
 }
 
 TEST(IncrementalFuzz, FiftyFramesLowChurnBitIdentical) {
-  const int reused = fuzz_sequence(tiled_config(4), 42, 50, 0.05, true);
-  // Low churn on a 2x2 grid must actually reuse tiles, or the test proves
-  // nothing about the retention path.
-  EXPECT_GT(reused, 0);
+  const FuzzTotals totals = fuzz_sequence(tiled_config(4), 42, 50, 0.05, true);
+  // Low churn on a 2x2 grid must actually reuse tiles and render deltas,
+  // or the test proves nothing about the retention and delta paths.
+  EXPECT_GT(totals.reused_frames, 0);
+  EXPECT_GT(totals.delta_tiles, 0);
 }
 
 TEST(IncrementalFuzz, HighChurnStaysExact) {
@@ -213,14 +224,129 @@ TEST(IncrementalFuzz, HighChurnStaysExact) {
 TEST(IncrementalFuzz, ManyTilesWithStealing) {
   DncConfig dnc = tiled_config(8);
   dnc.processors = 8;
-  const int reused = fuzz_sequence(dnc, 99, 30, 0.03, false);
-  EXPECT_GT(reused, 0);
+  const FuzzTotals totals = fuzz_sequence(dnc, 99, 30, 0.03, false);
+  EXPECT_GT(totals.reused_frames, 0);
+  EXPECT_GT(totals.delta_tiles, 0);
 }
 
 TEST(IncrementalFuzz, CostBalancedTilesFreezeDuringReuse) {
   DncConfig dnc = tiled_config(4);
   dnc.tile_strategy = core::TileStrategy::kCostBalanced;
-  fuzz_sequence(dnc, 7, 25, 0.05, true);
+  const FuzzTotals totals = fuzz_sequence(dnc, 7, 25, 0.05, true);
+  EXPECT_GT(totals.delta_tiles, 0);
+}
+
+TEST(IncrementalFuzz, DeltaListEmptyExactlyWhenTileClean) {
+  // The engine renders a dirty tile's share of the plan's delta, assigned
+  // with assign_spots_to_tiles; dirty_tiles marks tiles with its own copy
+  // of the overlap predicate. The two must agree tile for tile: a dirty
+  // tile with no delta would skip a re-render, and a clean tile with one
+  // would drop a change.
+  SynthesisConfig sc = small_synthesis();
+  sc.kind = core::SpotKind::kEllipse;  // wider extents: more seam spots
+  const auto field = make_field();
+  DncSynthesizer engine(sc, tiled_config(9));
+  SynthesisCache cache;
+  util::Rng rng(2718);
+  std::vector<SpotInstance> spots = random_spots(rng, sc.spot_count);
+  engine.synthesize(*field, spots);
+  cache.commit(engine, *field, std::vector<SpotInstance>(spots));
+  const core::SpotGeometryGenerator generator(sc, *field);
+
+  std::int64_t clean = 0;
+  std::int64_t dirty = 0;
+  for (int frame = 0; frame < 20; ++frame) {
+    for (auto& s : spots) {
+      if (rng.uniform() < 0.02) {
+        s.position.x += rng.uniform(-0.3, 0.3);
+        s.position.y += rng.uniform(-0.3, 0.3);
+      }
+    }
+    if (frame % 3 == 0) spots.pop_back();
+    if (frame % 4 == 0) spots.push_back({{rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)}, 0.1});
+    const SynthesisCache::Decision d = cache.plan(engine, *field, spots);
+    ASSERT_TRUE(d.incremental);
+
+    std::vector<SpotInstance> delta = d.plan.removed;
+    for (const std::int64_t k : d.plan.added) {
+      delta.push_back(spots[static_cast<std::size_t>(k)]);
+    }
+    const core::TileAssignment assignment = core::assign_spots_to_tiles(
+        delta, generator.mapping(), generator.max_extent_px(), engine.tiles());
+    for (std::size_t t = 0; t < engine.tiles().size(); ++t) {
+      EXPECT_EQ(assignment.per_tile[t].empty(), d.plan.tile_dirty[t] == 0)
+          << "frame " << frame << " tile " << t;
+      (d.plan.tile_dirty[t] != 0 ? dirty : clean) += 1;
+    }
+    engine.synthesize(*field, spots, &d.plan);
+    cache.commit(engine, *field, std::vector<SpotInstance>(spots));
+  }
+  // Both sides of the equivalence were exercised.
+  EXPECT_GT(clean, 0);
+  EXPECT_GT(dirty, 0);
+}
+
+TEST(IncrementalFuzz, NonFiniteChangeRendersDirtyTilesFromScratch) {
+  // An infinite intensity does not cancel (inf - inf is NaN), so a plan
+  // whose change holds a non-finite spot carries no delta and its dirty
+  // tiles render in full. Compared by content hash: NaN pixels never
+  // compare equal.
+  const SynthesisConfig sc = small_synthesis();
+  const auto field = make_field();
+  DncSynthesizer engine(sc, tiled_config(4));
+  DncSynthesizer oracle(sc, tiled_config(4));
+  SynthesisCache cache;
+  util::Rng rng(404);
+  std::vector<SpotInstance> spots = random_spots(rng, sc.spot_count);
+  spots[0].position = {1.0, 3.0};
+  for (const double intensity : {std::numeric_limits<double>::infinity(), 0.1}) {
+    engine.synthesize(*field, spots);
+    cache.commit(engine, *field, std::vector<SpotInstance>(spots));
+    spots[0].intensity = intensity;
+    spots[1].position.x += 0.01;
+    const SynthesisCache::Decision d = cache.plan(engine, *field, spots);
+    ASSERT_TRUE(d.incremental);
+    EXPECT_TRUE(d.plan.removed.empty());
+    EXPECT_TRUE(d.plan.added.empty());
+    const core::FrameStats stats = engine.synthesize(*field, spots, &d.plan);
+    EXPECT_EQ(stats.delta_tiles, 0);
+    oracle.synthesize(*field, spots);
+    EXPECT_EQ(engine.texture().content_hash(), oracle.texture().content_hash());
+  }
+}
+
+TEST(IncrementalFuzz, DenseSubPixelMovesStayExactInsideLatticeBudget) {
+  // A dense population of strong spots, a third of it nudged by sub-pixel
+  // offsets every frame: each delta tile's readback partially cancels
+  // (old and new instances nearly coincide), which is where an inexact
+  // subtraction would show. Σ|old| + Σ|new| per pixel must stay inside the
+  // lattice's exact range; the peak canary records that it does.
+  SynthesisConfig sc = small_synthesis();
+  sc.spot_count = 1500;
+  const auto field = make_field();
+  DncSynthesizer full(sc, tiled_config(4));
+  DncSynthesizer incremental(sc, tiled_config(4));
+  SynthesisCache cache;
+  util::Rng rng(1618);
+  auto spots = core::make_random_spots(kDomain, sc.spot_count, rng);
+  std::int64_t delta_tiles = 0;
+  for (int frame = 0; frame < 8; ++frame) {
+    const SynthesisCache::Decision d = cache.plan(incremental, *field, spots);
+    const core::FrameStats stats =
+        incremental.synthesize(*field, spots, d.incremental ? &d.plan : nullptr);
+    cache.commit(incremental, *field, std::vector<SpotInstance>(spots));
+    const core::FrameStats oracle = full.synthesize(*field, spots);
+    EXPECT_EQ(full.texture(), incremental.texture()) << "frame " << frame;
+    EXPECT_LT(stats.peak_pixel_magnitude, util::simd::kContributionExactBound);
+    EXPECT_GE(stats.peak_pixel_magnitude, oracle.peak_pixel_magnitude);
+    delta_tiles += stats.delta_tiles;
+    // 1/16 of a pixel is 0.004 domain units on this 64px, 4-unit texture.
+    for (std::size_t k = 0; k < spots.size(); k += 3) {
+      spots[k].position.x += rng.uniform(-0.004, 0.004);
+      spots[k].position.y += rng.uniform(-0.004, 0.004);
+    }
+  }
+  EXPECT_GT(delta_tiles, 0) << "no tile took the delta path";
 }
 
 // ------------------------------------- content-addressed cache + planning ---
@@ -512,6 +638,11 @@ TEST(IncrementalStats, ReuseIsAccountedAndRetentionSkipsWork) {
       engine.synthesize(*field, spots, &d.plan);
   EXPECT_EQ(stats.tiles_reused, 3);
   EXPECT_GT(stats.spots_skipped, 0);
+  // The dirty tile rendered a delta, not its whole list: the old instance
+  // (negated) and the new one.
+  EXPECT_EQ(stats.delta_tiles, 1);
+  EXPECT_EQ(stats.delta_spots, 2);
+  EXPECT_EQ(stats.spots_submitted, 2);
   // Only the dirty tile crossed the bus.
   EXPECT_EQ(stats.readback_bytes, 32u * 32u * sizeof(float));
   // And the result still matches a from-scratch engine exactly.

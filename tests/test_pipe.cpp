@@ -220,12 +220,16 @@ TEST(GraphicsPipe, OverlapsWithSubmitterWork) {
 
 TEST(GraphicsPipe, BusDelayShowsAsStall) {
   auto pc = small_pipe();
-  auto bus = std::make_shared<render::Bus>(1e6);  // 1 MB/s: very slow
+  // 2 kB/s: the 64+12 byte quad takes ~38 ms to cross, far longer than
+  // scheduler noise can delay the server thread on a loaded host. (A ~76 us
+  // transfer could complete before the server reached the draw, recording
+  // no stall.)
+  auto bus = std::make_shared<render::Bus>(2e3);
   render::GraphicsPipe pipe(pc, bus);
   pipe.bind_profile(render::SpotProfile::make_shared(render::SpotShape::kDisc));
   pipe.finish();
   pipe.reset_stats();
-  pipe.submit(unit_quad(0, 0, 16, 16));  // 64+12 bytes -> ~76 us transfer
+  pipe.submit(unit_quad(0, 0, 16, 16));
   pipe.finish();
   EXPECT_GT(pipe.stats().stall_seconds, 0.0);
 }
