@@ -11,7 +11,6 @@
 #include "particles/integrators.hpp"
 #include "particles/particle_system.hpp"
 #include "particles/tracer.hpp"
-#include "render/compose.hpp"
 #include "render/rasterizer.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
@@ -176,14 +175,16 @@ void BM_RasterizeBentMesh(benchmark::State& state) {
 }
 BENCHMARK(BM_RasterizeBentMesh)->Args({32, 17})->Args({16, 3});
 
-// --------------------------------------------------------------- compose ---
+// ---------------------------------------------------------------- gather ---
 
 void BM_GatherBlend(benchmark::State& state) {
   const auto pipes = static_cast<std::size_t>(state.range(0));
   std::vector<render::Framebuffer> parts(pipes, render::Framebuffer(512, 512));
   render::Framebuffer final_texture(512, 512);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(render::gather_blend(final_texture, parts));
+    final_texture.clear();
+    for (const render::Framebuffer& part : parts) final_texture.accumulate(part);
+    benchmark::DoNotOptimize(final_texture.pixels().data());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(pipes) *
                           512 * 512 * 4);
@@ -212,7 +213,7 @@ BENCHMARK(BM_HighPass);
 
 // ------------------------------------------------------- simd kernels ---
 // Every dispatched kernel at every tier the host can run (arg 0 = tier:
-// 0 scalar, 1 sse2, 2 avx2, 3 neon; unavailable tiers skip). Items are
+// 0 scalar, 1 sse2, 2 avx2; unavailable tiers skip). Items are
 // lanes (fragments for the samplers), so rates compare across tiers.
 
 constexpr std::size_t kSimdLanes = 4096;
@@ -246,7 +247,7 @@ void BM_SimdAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdAdd)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdAdd)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdAddScaled(benchmark::State& state) {
   util::simd::Tier tier;
@@ -261,7 +262,7 @@ void BM_SimdAddScaled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdAddScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdAddScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdMaxScaled(benchmark::State& state) {
   util::simd::Tier tier;
@@ -276,7 +277,7 @@ void BM_SimdMaxScaled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdMaxScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdMaxScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdMaxWith(benchmark::State& state) {
   util::simd::Tier tier;
@@ -290,7 +291,7 @@ void BM_SimdMaxWith(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdMaxWith)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdMaxWith)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdQuantizeSpan(benchmark::State& state) {
   util::simd::Tier tier;
@@ -305,7 +306,7 @@ void BM_SimdQuantizeSpan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kSimdLanes));
 }
-BENCHMARK(BM_SimdQuantizeSpan)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdQuantizeSpan)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 // The fused span sampler over a synthetic profile table: a diagonal 32.32
 // walk, single spans of 24 fragments, and the batched form over 64 spans of
@@ -341,7 +342,7 @@ void BM_SimdSampleRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kLen));
 }
-BENCHMARK(BM_SimdSampleRow)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_SimdSampleRow)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdSampleRowsBatch(benchmark::State& state) {
   util::simd::Tier tier;
@@ -367,7 +368,7 @@ void BM_SimdSampleRowsBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kCount * kLen));
 }
 BENCHMARK(BM_SimdSampleRowsBatch)
-    ->ArgName("tier")->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+    ->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_NormalizeContrast(benchmark::State& state) {
   render::Framebuffer fb(512, 512);

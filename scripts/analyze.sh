@@ -9,7 +9,7 @@
 #   2. determinism-lint — scripts/determinism_lint.py self-test + tree scan
 #                         (Python, always runs): random sources, unwaivered
 #                         wall-clock reads, unquantized accumulation in the
-#                         rasterizer/compose hot paths.
+#                         rasterizer/framebuffer hot paths.
 #   3. thread-safety    — clang -Wthread-safety -Werror=thread-safety over
 #                         the whole library (analyze preset), POSITIVE pass,
 #                         plus a NEGATIVE compile check: building the

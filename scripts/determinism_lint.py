@@ -16,8 +16,8 @@ the pixels. Three textual rules keep that property from regressing:
       high_resolution_clock / ::now()) outside util/stopwatch.hpp unless the
       line (or the line above) carries a `// determinism:` comment saying why
       the read cannot affect pixels (timing models, scheduling gates, stats).
-  D3  in the accumulation hot files (rasterizer.cpp, framebuffer.cpp,
-      compose.cpp) and the SIMD kernel files (src/util/simd*), an
+  D3  in the accumulation hot files (rasterizer.cpp, framebuffer.cpp)
+      and the SIMD kernel files (src/util/simd*), an
       indexed/pointer float `+=` must sit within a few lines of a
       util::simd lattice helper (quantize_contribution or a util::simd::
       call) — raw unquantized accumulation is how order dependence sneaks
@@ -65,7 +65,7 @@ STATS_LHS = re.compile(
     r"\b(stats|sum|sum_sq|fragments|visited|pixels_touched|count|total|"
     r"seconds|genP|genT|bytes)\w*\s*(?:\[[^\]]*\])?\s*\+="
 )
-ACCUM_FILES = {"rasterizer.cpp", "framebuffer.cpp", "compose.cpp"}
+ACCUM_FILES = {"rasterizer.cpp", "framebuffer.cpp"}
 ACCUM_CONTEXT_LINES = 6
 # Intrinsic float adds in the explicit-SIMD kernel files (rule D4). Integer
 # adds (_mm256_add_epi32 etc.) are position arithmetic and exempt.

@@ -42,7 +42,7 @@
 #   scripts/verify.sh --simd-tiers   # SIMD-tier mode: runs the determinism
 #                                    # and golden-frame suites once per SIMD
 #                                    # tier available on this host (scalar,
-#                                    # then sse2/avx2 or neon) by setting
+#                                    # then sse2/avx2 on x86-64) by setting
 #                                    # DCSN_SIMD, plus the cross-tier
 #                                    # byte-equality suite (test_simd). A
 #                                    # divergent tier means an intrinsic
@@ -203,7 +203,7 @@ faults_gate() {
 # Per-tier determinism verification: the same pixels must fall out of every
 # SIMD tier, so the determinism and golden-frame suites run once per tier
 # under DCSN_SIMD. Tier availability mirrors the dispatcher's detection (sse2
-# is x86-64 baseline, avx2 from the cpuinfo flag, neon is aarch64 baseline);
+# is x86-64 baseline, avx2 from the cpuinfo flag; other hosts run scalar);
 # if the shell overshoots, the dispatcher warns and falls back, so an
 # overshoot weakens the check rather than failing it.
 simd_tier_gate() {
@@ -226,11 +226,9 @@ simd_tiers_gates() {
       else
         record SKIPPED "simd tier avx2" "host CPU lacks AVX2"
       fi
-      record SKIPPED "simd tier neon" "x86-64 host; no aarch64 toolchain to build it"
       ;;
-    aarch64|arm64)
-      run_gate "simd tier neon" simd_tier_gate neon
-      record SKIPPED "simd tiers sse2/avx2" "aarch64 host"
+    *)
+      record SKIPPED "simd tiers sse2/avx2" "not an x86-64 host"
       ;;
   esac
   echo "-- cross-tier byte equality (test_simd)"

@@ -128,7 +128,6 @@ DncSynthesizer::DncSynthesizer(SynthesisConfig synthesis, DncConfig dnc,
       pc.height = synthesis_.texture_height;
     }
     pc.state_change_seconds = dnc_.state_change_seconds;
-    pc.raster_cost_multiplier = dnc_.raster_cost_multiplier;
     pc.queue_capacity = dnc_.pipe_queue_capacity;
     pc.raster_algorithm = dnc_.raster_algorithm;
     // Borrowed, not owned: an idle pipe with a matching behavioral config
@@ -579,8 +578,7 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
     // clean tiles of an incremental frame keep their retained region of
     // final_ untouched, delta tiles add their readback onto it, and
     // cache-hit tiles compose the store's pinned pixels directly (no
-    // readback, no staging copy). render::compose_tiles_masked implements
-    // the same merge for callers that already hold materialized tiles.
+    // readback, no staging copy).
     //
     // Fault site kFramebufferCheckout, mandatory path: every readback needs
     // its buffer, so a throw-hit fails the frame. All of them are drawn

@@ -60,7 +60,6 @@
 #include "core/spot_params.hpp"
 #include "core/tiling.hpp"
 #include "render/bus.hpp"
-#include "render/compose.hpp"
 #include "render/pipe.hpp"
 #include "util/error.hpp"
 #include "util/queue.hpp"
@@ -154,8 +153,6 @@ struct DncConfig {
   double bus_bytes_per_second = 0.0;
   /// Pipe state-change sync latency (see render::PipeConfig).
   double state_change_seconds = 20e-6;
-  /// >1 slows rasterization to model a weaker pipe (ablations only).
-  double raster_cost_multiplier = 1.0;
   /// Triangle fill algorithm the pipes rasterize with. kSpan is the fast
   /// span-based scanline kernel; kReference is the bbox-walk oracle
   /// (equivalence tests, bench_raster_kernel ablation).

@@ -8,6 +8,14 @@
 
 namespace dcsn::core {
 
+namespace {
+
+/// Released pipes retained per behavioral configuration; extras are torn
+/// down on release.
+constexpr std::size_t kMaxIdlePipes = 16;
+
+}  // namespace
+
 PipeLease& PipeLease::operator=(PipeLease&& other) noexcept {
   if (this != &other) {
     if (runtime_ && pipe_) runtime_->release_pipe(std::move(pipe_));
@@ -24,7 +32,6 @@ PipeLease::~PipeLease() {
 
 Runtime::Runtime(RuntimeConfig config)
     : config_(config),
-      framebuffers_(config.max_idle_framebuffers),
       tile_store_(TileStore::Config{.max_bytes = config.tile_cache_bytes,
                                     .shards = config.tile_cache_shards,
                                     .recycle = &framebuffers_}) {
@@ -178,7 +185,7 @@ void Runtime::release_pipe(std::unique_ptr<render::GraphicsPipe> pipe) {
   pipe->reset_stats();
   util::MutexLock lock(pipes_mutex_);
   auto& idle = idle_pipes_[key_of(pipe->config())];
-  if (idle.size() < config_.max_idle_pipes) idle.push_back(std::move(pipe));
+  if (idle.size() < kMaxIdlePipes) idle.push_back(std::move(pipe));
   // else: destroyed here, joining its server thread.
 }
 

@@ -62,11 +62,6 @@ struct RuntimeConfig {
   /// ensure_workers() with their processor budget, so the default Runtime
   /// starts empty and sizes itself to the largest request seen.
   int workers = 0;
-  /// Released pipes retained per behavioral configuration; extras are torn
-  /// down on release.
-  std::size_t max_idle_pipes = 16;
-  /// Released framebuffers retained by the shared pool.
-  std::size_t max_idle_framebuffers = 64;
   /// Byte budget of the shared content-addressed tile cache (see
   /// core::TileStore). Sessions opt in per engine via DncConfig::tile_cache;
   /// the store itself is process-wide so sessions share rendered tiles.
@@ -178,7 +173,7 @@ class Runtime {
   // --- device pools ---
 
   /// Checks out a pipe matching `config`'s behavioral parameters (state
-  /// latency, raster cost/algorithm, queue capacity), reshaping a pooled
+  /// latency, raster algorithm, queue capacity), reshaping a pooled
   /// pipe via resize_target when only the dimensions differ, or constructing
   /// a fresh one. The lease returns the pipe on destruction. `bus` is the
   /// borrowing session's bus model (rebound per checkout).
@@ -210,10 +205,10 @@ class Runtime {
   friend class PipeLease;
 
   // Behavioral pipe identity: everything except the (resizable) dimensions.
-  using PipeKey = std::tuple<double, double, std::size_t, int>;
+  using PipeKey = std::tuple<double, std::size_t, int>;
   static PipeKey key_of(const render::PipeConfig& config) {
-    return {config.state_change_seconds, config.raster_cost_multiplier,
-            config.queue_capacity, static_cast<int>(config.raster_algorithm)};
+    return {config.state_change_seconds, config.queue_capacity,
+            static_cast<int>(config.raster_algorithm)};
   }
 
   void release_pipe(std::unique_ptr<render::GraphicsPipe> pipe);

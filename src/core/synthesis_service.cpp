@@ -12,6 +12,14 @@
 
 namespace dcsn::core {
 
+namespace {
+
+/// Most yields one job may absorb before it becomes immune to further
+/// preemption — bounds the work wasted on abandoned attempts.
+constexpr int kMaxJobYields = 4;
+
+}  // namespace
+
 const char* breaker_state_name(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed: return "closed";
@@ -319,7 +327,7 @@ void SynthesisService::maybe_preempt(double now) {
   double victim_slack = -std::numeric_limits<double>::infinity();
   for (const auto& [jid, job] : jobs_) {
     if (job->state != JobState::kRunning) continue;
-    if (job->yields >= config_.max_job_yields) continue;
+    if (job->yields >= kMaxJobYields) continue;
     if (job->control.yield.load(std::memory_order_relaxed)) continue;
     const auto session_it = sessions_.find(job->session);
     if (session_it == sessions_.end()) continue;

@@ -134,9 +134,6 @@ struct ServiceConfig {
   /// admission_control (predictions are measured, not replay-stable), so
   /// replay harnesses are unaffected. <= 0 disables preemption.
   double yield_risk_factor = 1.5;
-  /// Most yields one job may absorb before it becomes immune to further
-  /// preemption — bounds the work wasted on abandoned attempts.
-  int max_job_yields = 4;
 };
 
 /// Per-job service-level options: the deadline/retry/degradation contract.

@@ -52,6 +52,10 @@ void encode_synthesis(WireWriter& w, const core::SynthesisConfig& c) {
   core::SynthesisConfig c;
   c.texture_width = r.i32();
   c.texture_height = r.i32();
+  if (std::int64_t{c.texture_width} * c.texture_height >
+      std::int64_t{kMaxPayloadBytes / sizeof(float)}) {
+    throw ProtocolError("texture exceeds the largest payload a frame may carry");
+  }
   c.spot_count = r.i64();
   c.spot_radius_px = r.f64();
   c.kind = static_cast<core::SpotKind>(checked_u8_enum(
@@ -70,18 +74,17 @@ void encode_synthesis(WireWriter& w, const core::SynthesisConfig& c) {
   return c;
 }
 
+// Only the session shape crosses the wire. The simulator knobs (bus and
+// state-change model, raster algorithm, pipe queue capacity, stealing) keep
+// their DncConfig defaults on the server: they exist for in-process benches
+// and tests, and a remote client must not be able to wedge the server with
+// them.
 void encode_dnc(WireWriter& w, const core::DncConfig& c) {
   w.i32(c.processors);
   w.i32(c.pipes);
   w.i64(c.chunk_spots);
-  w.f64(c.bus_bytes_per_second);
-  w.f64(c.state_change_seconds);
-  w.f64(c.raster_cost_multiplier);
-  w.u8(static_cast<std::uint8_t>(c.raster_algorithm));
-  w.u32(static_cast<std::uint32_t>(c.pipe_queue_capacity));
   w.u8(c.tiled ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(c.tile_strategy));
-  w.u8(c.steal ? 1 : 0);
   w.u8(c.tile_cache ? 1 : 0);
 }
 
@@ -89,19 +92,14 @@ void encode_dnc(WireWriter& w, const core::DncConfig& c) {
   core::DncConfig c;
   c.processors = r.i32();
   c.pipes = r.i32();
+  if (c.processors > kMaxSessionThreads || c.pipes > kMaxSessionThreads) {
+    throw ProtocolError("session processors or pipes exceed the server limit");
+  }
   c.chunk_spots = r.i64();
-  c.bus_bytes_per_second = r.f64();
-  c.state_change_seconds = r.f64();
-  c.raster_cost_multiplier = r.f64();
-  c.raster_algorithm = static_cast<render::RasterAlgorithm>(checked_u8_enum(
-      r.u8(), static_cast<std::uint8_t>(render::RasterAlgorithm::kReference),
-      "RasterAlgorithm"));
-  c.pipe_queue_capacity = r.u32();
   c.tiled = r.u8() != 0;
   c.tile_strategy = static_cast<core::TileStrategy>(checked_u8_enum(
       r.u8(), static_cast<std::uint8_t>(core::TileStrategy::kCostBalanced),
       "TileStrategy"));
-  c.steal = r.u8() != 0;
   c.tile_cache = r.u8() != 0;
   return c;
 }

@@ -22,8 +22,9 @@
 //
 // Defensive decoding: WireReader bounds-checks every get, read_message()
 // rejects bad magic, oversized declared lengths (kMaxPayloadBytes) and
-// mid-message EOF with ProtocolError — the torture suite in
-// tests/test_net.cpp feeds exactly those corruptions.
+// mid-message EOF with ProtocolError, and OpenSessionMsg::decode rejects a
+// session larger than kMaxSessionThreads or kMaxPayloadBytes allow — the
+// torture suite in tests/test_net.cpp feeds exactly those corruptions.
 #pragma once
 
 #include <bit>
@@ -50,12 +51,16 @@ class ProtocolError : public util::Error {
 };
 
 inline constexpr std::uint32_t kMagic = 0x4E534344u;  // "DCSN" little-endian
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Upper bound on a declared payload length. A 4 KiB texture at f32 is
 /// 64 MiB; anything above this is a corrupt or hostile length prefix, not a
 /// frame, and must be rejected *before* allocating.
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 inline constexpr std::size_t kHeaderBytes = 9;
+/// Upper bound on an OpenSession's processors and on its pipes: each one is
+/// a server thread, so a hostile count must be rejected before the runtime
+/// spawns them.
+inline constexpr std::int32_t kMaxSessionThreads = 64;
 
 enum class MsgType : std::uint8_t {
   // client -> server
@@ -185,6 +190,8 @@ struct OpenSessionMsg {
   std::int32_t priority = 0;
   FieldSpec field;
   core::SynthesisConfig synthesis;
+  /// Only processors, pipes, chunk_spots, tiled, tile_strategy and
+  /// tile_cache travel; every other field decodes to its default.
   core::DncConfig dnc;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;

@@ -13,10 +13,7 @@ GraphicsPipe::GraphicsPipe(PipeConfig config, std::shared_ptr<Bus> bus, int pipe
       pipe_id_(pipe_id),
       target_(config.width, config.height),
       queue_(config.queue_capacity),
-      server_([this](std::stop_token stop) { server_loop(stop); }) {
-  DCSN_CHECK(config.raster_cost_multiplier >= 1.0,
-             "raster cost multiplier models a slower pipe, must be >= 1");
-}
+      server_([this](std::stop_token stop) { server_loop(stop); }) {}
 
 GraphicsPipe::~GraphicsPipe() { queue_.close(); }
 
@@ -176,30 +173,8 @@ void GraphicsPipe::execute(Command& cmd) {
       if (pipe.bound_profile_) {
         const RasterTarget target{pipe.target_.pixels(), pipe.viewport_x_,
                                   pipe.viewport_y_, pipe.config_.raster_algorithm};
-        const int passes = static_cast<int>(pipe.config_.raster_cost_multiplier);
-        const double frac = pipe.config_.raster_cost_multiplier - passes;
-        for (int pass = 0; pass < passes; ++pass) {
-          // Extra passes model a slower pipe; only the first pass may blend
-          // additively, so repeat passes draw with weight 0 (cost, no image
-          // change).
-          RasterStats pass_stats;
-          if (pass == 0) {
-            rasterize_buffer(target, c.buffer, *pipe.bound_profile_,
-                             pipe.blend_mode_, pass_stats);
-            raster = pass_stats;
-          } else {
-            zero_weight_pass(target, c.buffer, *pipe.bound_profile_, pass_stats);
-          }
-        }
-        if (frac > 0.0) {
-          // Fractional slowdown: spin for the corresponding share of the
-          // first pass's time.
-          const double base = watch.seconds() / std::max(1.0, static_cast<double>(passes));
-          const double extra = base * frac;
-          const util::Stopwatch spin;
-          while (spin.seconds() < extra) {
-          }
-        }
+        rasterize_buffer(target, c.buffer, *pipe.bound_profile_, pipe.blend_mode_,
+                         raster);
       }
       const double busy = watch.seconds();
       util::MutexLock lock(pipe.stats_mutex_);
@@ -213,14 +188,6 @@ void GraphicsPipe::execute(Command& cmd) {
     }
 
     void operator()(CmdFence& c) { c.done.set_value(); }
-
-    static void zero_weight_pass(const RasterTarget& target, const CommandBuffer& buf,
-                                 const SpotProfile& profile, RasterStats& stats) {
-      for (const MeshHeader& h : buf.meshes()) {
-        rasterize_mesh(target, buf.vertices_of(h), h.cols, h.rows, 0.0f, profile,
-                       BlendMode::kAdditive, stats);
-      }
-    }
   };
   std::visit(Visitor{*this}, cmd);
 }

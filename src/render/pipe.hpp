@@ -44,10 +44,6 @@ struct PipeConfig {
   /// The default models a fraction of the IR's geometry-processor sync.
   double state_change_seconds = 20e-6;
   std::size_t queue_capacity = 64;
-  /// Optional slowdown of rasterization (>1 = slower pipe). Used by the
-  /// resource-balance ablation to move the saturation point; 1.0 = raw
-  /// software rasterizer speed.
-  double raster_cost_multiplier = 1.0;
   /// Triangle fill algorithm for every draw on this pipe. kSpan is the
   /// production hot path; kReference keeps the bbox walk selectable for
   /// equivalence testing and the bench_raster_kernel ablation.

@@ -96,7 +96,7 @@ struct Raster {
   const SpotProfile& profile;
   /// The target's global pixel rect [tx0, tx1) x [ty0, ty1).
   float tx0, ty0, tx1, ty1;
-  /// The runtime-dispatched kernel tier (scalar / SSE2 / AVX2 / NEON). Every
+  /// The runtime-dispatched kernel tier (scalar / SSE2 / AVX2). Every
   /// tier is bit-identical to the scalar expressions
   /// (util/simd_dispatch.hpp), so the choice never shows in the pixels —
   /// only in the frame time.

@@ -19,9 +19,6 @@
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#endif
 
 namespace dcsn::util::simd {
 
@@ -700,113 +697,6 @@ constexpr KernelTable kAvx2Table = {
 #endif  // __x86_64__
 
 // ---------------------------------------------------------------------------
-// NEON tier (aarch64 baseline): 128-bit lanes. vbslq selects with the
-// scalar comparison's branch on NaN lanes; no vmla/fma anywhere (aarch64
-// multiply-accumulate fuses, which would break lattice exactness).
-// ---------------------------------------------------------------------------
-#if defined(__aarch64__)
-
-inline float32x4_t quantize_neon(float32x4_t v) {
-  const float32x4_t x = vmulq_f32(v, vdupq_n_f32(kContributionScale));
-  const uint32x4_t in_range = vandq_u32(vcgtq_f32(x, vdupq_n_f32(-4194304.0f)),
-                                        vcltq_f32(x, vdupq_n_f32(4194304.0f)));
-  const float32x4_t magic = vdupq_n_f32(12582912.0f);  // 1.5 * 2^23
-  const float32x4_t snapped = vmulq_f32(vsubq_f32(vaddq_f32(x, magic), magic),
-                                        vdupq_n_f32(kContributionQuantum));
-  return vbslq_f32(in_range, snapped, v);
-}
-
-void add_neon(float* dst, const float* src, std::size_t n) {
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    // determinism: lattice-exact — both operands hold in-range lattice sums
-    vst1q_f32(dst + k, vaddq_f32(vld1q_f32(dst + k), vld1q_f32(src + k)));
-  }
-  if (k < n) simd::add(dst + k, src + k, n - k);
-}
-
-void add_scaled_neon(float* dst, const float* src, float w, std::size_t n) {
-  const float32x4_t wv = vdupq_n_f32(w);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const float32x4_t s = quantize_neon(vmulq_f32(wv, vld1q_f32(src + k)));
-    vst1q_f32(dst + k, vaddq_f32(vld1q_f32(dst + k), s));
-  }
-  if (k < n) simd::add_scaled(dst + k, src + k, w, n - k);
-}
-
-void max_scaled_neon(float* dst, const float* src, float w, std::size_t n) {
-  const float32x4_t wv = vdupq_n_f32(w);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const float32x4_t s = quantize_neon(vmulq_f32(wv, vld1q_f32(src + k)));
-    const float32x4_t d = vld1q_f32(dst + k);
-    // dst < s ? s : dst — select, not vmaxq, to keep scalar NaN semantics.
-    vst1q_f32(dst + k, vbslq_f32(vcltq_f32(d, s), s, d));
-  }
-  if (k < n) simd::max_scaled(dst + k, src + k, w, n - k);
-}
-
-void max_with_neon(float* dst, float v, std::size_t n) {
-  const float32x4_t s = vdupq_n_f32(v);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const float32x4_t d = vld1q_f32(dst + k);
-    vst1q_f32(dst + k, vbslq_f32(vcltq_f32(d, s), s, d));
-  }
-  if (k < n) simd::max_with(dst + k, v, n - k);
-}
-
-void quantize_neon_span(float* dst, const float* src, std::size_t n) {
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    vst1q_f32(dst + k, quantize_neon(vld1q_f32(src + k)));
-  }
-  if (k < n) simd::quantize_span(dst + k, src + k, n - k);
-}
-
-// NEON has no gather: stage texels with the scalar fetch, vector-blend the
-// contiguous chunk.
-template <bool Additive>
-void sample_row_neon(float* dst, const SampleSpan& s, std::size_t n) {
-  if (n < kFusedSpan) {
-    sample_row_portable<Additive>(dst, s, n);
-    return;
-  }
-  float texels[kRowTile];
-  std::size_t k = 0;
-  while (k < n) {
-    const std::size_t chunk = n - k < kRowTile ? n - k : kRowTile;
-    for (std::size_t i = 0; i < chunk; ++i) texels[i] = bilinear_at(s, k + i);
-    if constexpr (Additive) {
-      add_scaled_neon(dst + k, texels, s.weight, chunk);
-    } else {
-      max_scaled_neon(dst + k, texels, s.weight, chunk);
-    }
-    k += chunk;
-  }
-}
-
-template <bool Additive>
-void sample_rows_neon(float* const* dst, const SampleSpan* spans,
-                      const std::uint32_t* lens, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    sample_row_neon<Additive>(dst[i], spans[i], lens[i]);
-  }
-}
-
-constexpr KernelTable kNeonTable = {
-    &add_neon,        &add_scaled_neon,
-    &max_scaled_neon, &max_with_neon,
-    &quantize_neon_span, &sample_row_neon<true>,
-    &sample_row_neon<false>,
-    &sample_rows_neon<true>,
-    &sample_rows_neon<false>,
-};
-
-#endif  // __aarch64__
-
-// ---------------------------------------------------------------------------
 // Detection and dispatch
 // ---------------------------------------------------------------------------
 
@@ -815,8 +705,6 @@ Tier detect_best() {
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
   return Tier::kSse2;  // architectural baseline on x86-64
-#elif defined(__aarch64__)
-  return Tier::kNeon;  // architectural baseline on aarch64
 #else
   return Tier::kScalar;
 #endif
@@ -830,7 +718,7 @@ Tier init_tier() {
   if (!tier_from_name(env, requested)) {
     std::fprintf(stderr,
                  "dcsn: unknown DCSN_SIMD value '%s' "
-                 "(expected scalar|sse2|avx2|neon); using %s\n",
+                 "(expected scalar|sse2|avx2); using %s\n",
                  env, tier_name(best));
     return best;
   }
@@ -861,10 +749,6 @@ bool tier_available(Tier tier) {
       __builtin_cpu_init();
       return __builtin_cpu_supports("avx2");
 #endif
-#if defined(__aarch64__)
-    case Tier::kNeon:
-      return true;
-#endif
     default:
       return false;
   }
@@ -872,7 +756,7 @@ bool tier_available(Tier tier) {
 
 std::vector<Tier> available_tiers() {
   std::vector<Tier> tiers;
-  for (const Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2, Tier::kNeon}) {
+  for (const Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2}) {
     if (tier_available(t)) tiers.push_back(t);
   }
   return tiers;
@@ -886,10 +770,6 @@ const KernelTable& kernels_for(Tier tier) {
       return kSse2Table;
     case Tier::kAvx2:
       return kAvx2Table;
-#endif
-#if defined(__aarch64__)
-    case Tier::kNeon:
-      return kNeonTable;
 #endif
     default:
       return kScalarTable;
@@ -920,14 +800,12 @@ const char* tier_name(Tier tier) {
       return "sse2";
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kNeon:
-      return "neon";
   }
   return "unknown";
 }
 
 bool tier_from_name(std::string_view name, Tier& out) {
-  for (const Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2, Tier::kNeon}) {
+  for (const Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2}) {
     if (name == tier_name(t)) {
       out = t;
       return true;
@@ -950,8 +828,6 @@ std::string cpu_flags() {
   if (__builtin_cpu_supports("avx2")) append("avx2");
   if (__builtin_cpu_supports("fma")) append("fma");
   if (__builtin_cpu_supports("avx512f")) append("avx512f");
-#elif defined(__aarch64__)
-  append("neon");
 #else
   append("generic");
 #endif

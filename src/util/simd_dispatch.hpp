@@ -2,11 +2,11 @@
 //
 // util/simd.hpp holds the portable reference kernels: `#pragma omp simd`
 // loops whose vectorization is at the compiler's mercy. This layer adds
-// hand-written SSE2 / AVX2 / NEON implementations of the same kernels plus
-// the fused span sampler the SoA rasterizer refactor enables, selected once
-// at startup from CPU feature detection (CPUID on x86-64, baseline NEON on
-// aarch64) — the binary needs no -march flags and still runs the widest ISA
-// the host offers.
+// hand-written SSE2 / AVX2 implementations of the same kernels plus the
+// fused span sampler the SoA rasterizer refactor enables, selected once at
+// startup from CPU feature detection (CPUID on x86-64; other architectures
+// run the scalar tier) — the binary needs no -march flags and still runs the
+// widest ISA the host offers.
 //
 // Determinism contract: every tier is pinned to the scalar expressions
 // BIT-FOR-BIT. The contribution-lattice snap (util/simd.hpp) is the magic-
@@ -41,7 +41,6 @@ enum class Tier : int {
   kScalar = 0,  ///< util/simd.hpp portable kernels (omp-simd, any compiler)
   kSse2 = 1,    ///< 128-bit, baseline on x86-64
   kAvx2 = 2,    ///< 256-bit + gathers, detected via CPUID
-  kNeon = 3,    ///< 128-bit, baseline on aarch64
 };
 
 /// Everything the fused span sampler needs: the padded bilinear table and
@@ -86,7 +85,7 @@ struct KernelTable {
 };
 
 /// The ambient dispatched table: best available tier, or the DCSN_SIMD
-/// override (scalar|sse2|avx2|neon; unknown or unavailable values warn on
+/// override (scalar|sse2|avx2; unknown or unavailable values warn on
 /// stderr and fall back to the detected best). First call decides.
 [[nodiscard]] const KernelTable& kernels();
 
@@ -107,7 +106,7 @@ void set_active_tier(Tier tier);
 /// A specific tier's kernels (util::Error when unavailable).
 [[nodiscard]] const KernelTable& kernels_for(Tier tier);
 
-/// "scalar" / "sse2" / "avx2" / "neon".
+/// "scalar" / "sse2" / "avx2".
 [[nodiscard]] const char* tier_name(Tier tier);
 
 /// Parses a DCSN_SIMD-style name; returns false on unknown names.

@@ -193,7 +193,9 @@ TEST(NetProtocol, OpenSessionRoundTripsConfigs) {
   msg.synthesis.bent.length_px = 18.0;
   msg.synthesis.window = field::Rect{0.25, 0.25, 1.75, 1.75};
   msg.dnc = small_dnc();
+  msg.dnc.pipes = 3;
   msg.dnc.tiled = true;
+  msg.dnc.tile_strategy = core::TileStrategy::kCostBalanced;
   msg.dnc.tile_cache = true;
 
   const auto payload = msg.encode();
@@ -210,13 +212,90 @@ TEST(NetProtocol, OpenSessionRoundTripsConfigs) {
   ASSERT_TRUE(back.synthesis.window.has_value());
   EXPECT_EQ(back.synthesis.window->x0, 0.25);
   EXPECT_EQ(back.dnc.processors, msg.dnc.processors);
+  EXPECT_EQ(back.dnc.pipes, 3);
   EXPECT_EQ(back.dnc.chunk_spots, msg.dnc.chunk_spots);
   EXPECT_TRUE(back.dnc.tiled);
+  EXPECT_EQ(back.dnc.tile_strategy, core::TileStrategy::kCostBalanced);
   EXPECT_TRUE(back.dnc.tile_cache);
 
   // Truncating any suffix must throw, never mis-decode.
   WireReader tr(std::span(payload.data(), payload.size() - 3));
   EXPECT_THROW((void)net::OpenSessionMsg::decode(tr), ProtocolError);
+}
+
+/// Encodes `msg` and expects OpenSessionMsg::decode to reject it.
+void expect_open_session_rejected(const net::OpenSessionMsg& msg) {
+  const auto payload = msg.encode();
+  WireReader r(payload);
+  EXPECT_THROW((void)net::OpenSessionMsg::decode(r), ProtocolError);
+}
+
+net::OpenSessionMsg small_session() {
+  net::OpenSessionMsg msg;
+  msg.field = vortex_spec();
+  msg.synthesis = small_config();
+  msg.dnc = small_dnc();
+  return msg;
+}
+
+TEST(NetProtocol, OpenSessionSimulatorKnobsDecodeToDefaults) {
+  // The simulator knobs never travel: hostile values a client sets locally
+  // (a zero-capacity pipe queue blocks the first push forever) must reach
+  // the server as the DncConfig defaults.
+  net::OpenSessionMsg msg = small_session();
+  msg.dnc.pipe_queue_capacity = 0;
+  msg.dnc.state_change_seconds = 1e9;
+  msg.dnc.bus_bytes_per_second = 1e-300;
+  msg.dnc.steal = false;
+  msg.dnc.raster_algorithm = render::RasterAlgorithm::kReference;
+
+  const auto payload = msg.encode();
+  WireReader r(payload);
+  const net::OpenSessionMsg back = net::OpenSessionMsg::decode(r);
+  const core::DncConfig defaults;
+  EXPECT_EQ(back.dnc.pipe_queue_capacity, defaults.pipe_queue_capacity);
+  EXPECT_EQ(back.dnc.state_change_seconds, defaults.state_change_seconds);
+  EXPECT_EQ(back.dnc.bus_bytes_per_second, defaults.bus_bytes_per_second);
+  EXPECT_EQ(back.dnc.steal, defaults.steal);
+  EXPECT_EQ(back.dnc.raster_algorithm, defaults.raster_algorithm);
+}
+
+TEST(NetProtocol, OpenSessionRejectsTooManyProcessors) {
+  net::OpenSessionMsg msg = small_session();
+  msg.dnc.processors = net::kMaxSessionThreads;
+  const auto payload = msg.encode();
+  WireReader r(payload);
+  EXPECT_EQ(net::OpenSessionMsg::decode(r).dnc.processors, net::kMaxSessionThreads);
+  msg.dnc.processors = net::kMaxSessionThreads + 1;
+  expect_open_session_rejected(msg);
+  msg.dnc.processors = 1 << 20;
+  expect_open_session_rejected(msg);
+}
+
+TEST(NetProtocol, OpenSessionRejectsTooManyPipes) {
+  net::OpenSessionMsg msg = small_session();
+  msg.dnc.pipes = net::kMaxSessionThreads;
+  const auto payload = msg.encode();
+  WireReader r(payload);
+  EXPECT_EQ(net::OpenSessionMsg::decode(r).dnc.pipes, net::kMaxSessionThreads);
+  msg.dnc.pipes = net::kMaxSessionThreads + 1;
+  expect_open_session_rejected(msg);
+}
+
+TEST(NetProtocol, OpenSessionRejectsTextureLargerThanAPayload) {
+  // 4096^2 floats are exactly kMaxPayloadBytes; one more row is too many.
+  net::OpenSessionMsg msg = small_session();
+  msg.synthesis.texture_width = 4096;
+  msg.synthesis.texture_height = 4096;
+  const auto payload = msg.encode();
+  WireReader r(payload);
+  EXPECT_EQ(net::OpenSessionMsg::decode(r).synthesis.texture_height, 4096);
+  msg.synthesis.texture_height = 4097;
+  expect_open_session_rejected(msg);
+  // The product is formed in 64 bits: 2^16 x 2^16 must not wrap to zero.
+  msg.synthesis.texture_width = 1 << 16;
+  msg.synthesis.texture_height = 1 << 16;
+  expect_open_session_rejected(msg);
 }
 
 TEST(NetProtocol, SubmitRoundTripsSpotsBitExact) {
@@ -798,6 +877,25 @@ TEST(NetLoopback, ServerSurvivesGarbageAndReportsError) {
   EXPECT_EQ(type, MsgType::kError);
   // After reporting, the server drops the connection: clean EOF.
   EXPECT_FALSE(net::read_message(raw, &type, &payload));
+  server.stop();
+}
+
+TEST(NetLoopback, ServerRejectsOversizedSessionWithError) {
+  FrameServer server(loopback_options());
+  auto [raw, server_end] = Socket::pair();
+  server.adopt(std::move(server_end));
+
+  // A well-formed OpenSession asking for a million worker threads.
+  net::OpenSessionMsg msg = small_session();
+  msg.dnc.processors = 1 << 20;
+  net::send_message(raw, MsgType::kOpenSession, msg.encode());
+
+  MsgType type{};
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(net::read_message(raw, &type, &payload));
+  EXPECT_EQ(type, MsgType::kError);
+  EXPECT_FALSE(net::read_message(raw, &type, &payload));
+  EXPECT_TRUE(server.service().health().sessions.empty());
   server.stop();
 }
 

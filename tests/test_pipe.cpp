@@ -185,9 +185,9 @@ TEST(GraphicsPipe, ViewportOriginShiftsRendering) {
 TEST(GraphicsPipe, OverlapsWithSubmitterWork) {
   // While the pipe rasterizes, the submitting thread stays free: total time
   // must be well below the sum of both sides (eq. 2.1's max, not sum).
-  // The cost multiplier keeps the per-quad raster work heavy enough for the
-  // overlap to be measurable on a loaded one-core host — the span-kernel
-  // rewrite made plain fullscreen quads too cheap for the wall-clock margin.
+  // Four fullscreen quads per iteration keep the raster work heavy enough for
+  // the overlap to be measurable on a loaded one-core host — the span-kernel
+  // rewrite made a single quad too cheap for the wall-clock margin.
 #if defined(DCSN_TSAN)
   GTEST_SKIP() << "wall-clock overlap margin is not meaningful under TSan's "
                   "slowdown on an oversubscribed host; races in this path are "
@@ -196,7 +196,6 @@ TEST(GraphicsPipe, OverlapsWithSubmitterWork) {
   auto pc = small_pipe();
   pc.width = 256;
   pc.height = 256;
-  pc.raster_cost_multiplier = 4.0;
   render::GraphicsPipe pipe(pc, nullptr);
   pipe.bind_profile(render::SpotProfile::make_shared(render::SpotShape::kDisc));
   pipe.clear();
@@ -205,7 +204,8 @@ TEST(GraphicsPipe, OverlapsWithSubmitterWork) {
   const util::Stopwatch watch;
   double cpu_busy = 0.0;
   for (int k = 0; k < 50; ++k) {
-    pipe.submit(unit_quad(0, 0, 256, 256));  // heavy pipe work
+    // heavy pipe work
+    for (int q = 0; q < 4; ++q) pipe.submit(unit_quad(0, 0, 256, 256));
     const util::Stopwatch cpu;
     volatile double sink = 0.0;
     while (cpu.seconds() < 1e-3) sink = sink + 1.0;  // heavy CPU work
@@ -242,34 +242,6 @@ TEST(GraphicsPipe, ReadBackMovesTextureOverBus) {
   bus->reset_stats();
   (void)pipe.read_back();
   EXPECT_EQ(bus->bytes_moved(), 4096u);
-}
-
-TEST(GraphicsPipe, RasterCostMultiplierSlowsPipe) {
-  auto fast_pc = small_pipe();
-  fast_pc.width = 128;
-  fast_pc.height = 128;
-  auto slow_pc = fast_pc;
-  slow_pc.raster_cost_multiplier = 4.0;
-  render::GraphicsPipe fast(fast_pc, nullptr);
-  render::GraphicsPipe slow(slow_pc, nullptr);
-  for (auto* pipe : {&fast, &slow}) {
-    pipe->bind_profile(render::SpotProfile::make_shared(render::SpotShape::kDisc));
-    pipe->clear();
-    pipe->finish();
-    pipe->reset_stats();
-    for (int k = 0; k < 20; ++k) pipe->submit(unit_quad(0, 0, 128, 128));
-    pipe->finish();
-  }
-  EXPECT_GT(slow.stats().raster_seconds, 2.0 * fast.stats().raster_seconds);
-  // The image itself must be identical: extra passes draw with weight 0.
-  // (Verified via a fresh pair of pipes to avoid stats interference.)
-  render::GraphicsPipe a(fast_pc, nullptr), b(slow_pc, nullptr);
-  for (auto* pipe : {&a, &b}) {
-    pipe->bind_profile(render::SpotProfile::make_shared(render::SpotShape::kDisc));
-    pipe->clear();
-    pipe->submit(unit_quad(10, 10, 100, 100));
-  }
-  EXPECT_TRUE(a.read_back() == b.read_back());
 }
 
 TEST(GraphicsPipe, DestructorDrainsCleanly) {

@@ -8,7 +8,6 @@
 
 #include "render/colormap.hpp"
 #include "render/command_buffer.hpp"
-#include "render/compose.hpp"
 #include "render/framebuffer.hpp"
 #include "render/image.hpp"
 #include "render/overlay.hpp"
@@ -395,56 +394,6 @@ TEST(Rasterizer, StatsCountQuadsAndTriangles) {
                            render::BlendMode::kAdditive, stats);
   EXPECT_EQ(stats.quads, 6);
   EXPECT_EQ(stats.triangles, 12);
-}
-
-// ---------------------------------------------------------------- compose ---
-
-TEST(Compose, GatherBlendSums) {
-  std::vector<render::Framebuffer> parts;
-  parts.emplace_back(4, 4);
-  parts.emplace_back(4, 4);
-  parts[0].clear(1.0f);
-  parts[1].clear(2.5f);
-  render::Framebuffer final_texture(4, 4);
-  final_texture.clear(99.0f);  // must be overwritten, not accumulated into
-  const auto pixels = render::gather_blend(final_texture, parts);
-  EXPECT_EQ(pixels, 32);
-  EXPECT_EQ(final_texture.at(2, 2), 3.5f);
-}
-
-TEST(Compose, TilesComposeDisjointly) {
-  std::vector<render::Framebuffer> tiles;
-  tiles.emplace_back(2, 4);
-  tiles.emplace_back(2, 4);
-  tiles[0].clear(1.0f);
-  tiles[1].clear(2.0f);
-  const std::vector<render::TilePlacement> placements = {{0, 0}, {2, 0}};
-  render::Framebuffer final_texture(4, 4);
-  render::compose_tiles(final_texture, tiles, placements);
-  EXPECT_EQ(final_texture.at(0, 0), 1.0f);
-  EXPECT_EQ(final_texture.at(1, 3), 1.0f);
-  EXPECT_EQ(final_texture.at(2, 0), 2.0f);
-  EXPECT_EQ(final_texture.at(3, 3), 2.0f);
-}
-
-TEST(Compose, MaskedComposeRetainsCleanRegions) {
-  // The temporal-coherence merge: dirty tiles are copied over, clean tiles'
-  // regions keep the previous frame's pixels, and a clean entry's buffer is
-  // never read (it may be empty — the engine skips its readback entirely).
-  std::vector<render::Framebuffer> tiles(2);
-  tiles[1] = render::Framebuffer(2, 4);
-  tiles[1].clear(7.0f);
-  const std::vector<render::TilePlacement> placements = {{0, 0}, {2, 0}};
-  const std::vector<std::uint8_t> dirty = {0, 1};
-  render::Framebuffer final_texture(4, 4);
-  final_texture.clear(3.0f);  // "previous frame"
-  const auto pixels =
-      render::compose_tiles_masked(final_texture, tiles, placements, dirty);
-  EXPECT_EQ(pixels, 8);
-  EXPECT_EQ(final_texture.at(0, 0), 3.0f);  // retained
-  EXPECT_EQ(final_texture.at(1, 3), 3.0f);
-  EXPECT_EQ(final_texture.at(2, 0), 7.0f);  // freshly composed
-  EXPECT_EQ(final_texture.at(3, 3), 7.0f);
 }
 
 // --------------------------------------------------------------- colormap ---

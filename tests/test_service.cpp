@@ -20,7 +20,6 @@
 #include "core/spot_source.hpp"
 #include "core/synthesis_service.hpp"
 #include "field/analytic.hpp"
-#include "render/compose.hpp"
 #include "render/framebuffer_pool.hpp"
 #include "render/image.hpp"
 #include "util/error.hpp"
@@ -771,10 +770,10 @@ TEST(FramebufferPool, RecycledBufferIsCleanAndRightSize) {
 }
 
 TEST(FramebufferPool, RecycledBufferCannotLeakIntoRetentionCompose) {
-  // End-to-end version of the checkout contract: compose fresh tiles over a
-  // *recycled* destination with half the tiles masked off. The masked
-  // regions must read as the pristine zero checkout, not the previous
-  // job's pixels.
+  // End-to-end version of the checkout contract: compose a fresh tile over
+  // half of a *recycled* destination, as the engine does for a dirty tile.
+  // The other half must read as the pristine zero checkout, not the
+  // previous job's pixels.
   render::FramebufferPool pool;
   render::Framebuffer previous_job = pool.acquire(64, 64);
   for (int y = 0; y < 64; ++y)
@@ -782,14 +781,9 @@ TEST(FramebufferPool, RecycledBufferCannotLeakIntoRetentionCompose) {
   pool.release(std::move(previous_job));
 
   render::Framebuffer final_texture = pool.acquire(64, 64);
-  std::vector<render::Framebuffer> tiles;
-  tiles.emplace_back(32, 64);
-  tiles.emplace_back();  // clean tile: never read
-  for (int y = 0; y < 64; ++y)
-    for (int x = 0; x < 32; ++x) tiles[0].at(x, y) = 1.0f;
-  const std::vector<render::TilePlacement> placements{{0, 0}, {32, 0}};
-  const std::vector<std::uint8_t> dirty{1, 0};
-  render::compose_tiles_masked(final_texture, tiles, placements, dirty);
+  render::Framebuffer dirty_tile(32, 64);
+  dirty_tile.clear(1.0f);
+  final_texture.copy_rect_from(dirty_tile, 0, 0);
   for (int y = 0; y < 64; ++y) {
     for (int x = 0; x < 64; ++x) {
       ASSERT_EQ(final_texture.at(x, y), x < 32 ? 1.0f : 0.0f)

@@ -1,6 +1,6 @@
 // Cross-tier byte-equality suite for the runtime-dispatched SIMD kernels.
 //
-// The contract (util/simd_dispatch.hpp): every tier — SSE2, AVX2, NEON —
+// The contract (util/simd_dispatch.hpp): every tier — SSE2, AVX2 —
 // reproduces the scalar kernels BIT-FOR-BIT: signed zeros, infinities,
 // denormals, and NaN *placement* included. The one sanctioned exception is
 // the NaN *payload* when both operands of a float add are NaN: IEEE leaves
@@ -333,8 +333,7 @@ TEST(SimdKernels, WholeEngineHashIdenticalAcrossTiers) {
 
 TEST(SimdDispatch, TierNamesRoundTripAndRejectUnknown) {
   for (const simd::Tier t :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2,
-        simd::Tier::kNeon}) {
+       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
     simd::Tier parsed{};
     ASSERT_TRUE(simd::tier_from_name(simd::tier_name(t), parsed));
     EXPECT_EQ(t, parsed);
