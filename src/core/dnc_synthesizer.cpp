@@ -959,7 +959,6 @@ bool DncSynthesizer::master_steal_once(Group& me, Slot& slot, bool is_caller) {
   Message msg;
   msg.buffer = generate_chunk(*victim, range, slot, is_caller,
                               &msg.submit_faults);
-  msg.items = range.size();
   slot.steal_seconds += watch.seconds();
   slot.stolen_chunks += 1;
   slot.stolen_spots += range.size();
@@ -1012,7 +1011,6 @@ bool DncSynthesizer::producer_once(Slot& slot, int ordinal, bool is_caller) {
       Message msg;
       msg.buffer = generate_chunk(own, range, slot, is_caller,
                                   &msg.submit_faults);
-      msg.items = range.size();
       (void)own.inbox.push(std::move(msg));  // false = closed = frame failed
       return true;
     }
@@ -1055,7 +1053,6 @@ bool DncSynthesizer::producer_once(Slot& slot, int ordinal, bool is_caller) {
   Message msg;
   msg.buffer = generate_chunk(*victim, range, slot, is_caller,
                               &msg.submit_faults);
-  msg.items = range.size();
   slot.steal_seconds += watch.seconds();
   slot.stolen_chunks += 1;
   slot.stolen_spots += range.size();

@@ -335,7 +335,6 @@ class DncSynthesizer {
  private:
   struct Message {
     render::CommandBuffer buffer;
-    std::int64_t items = 0;  ///< spots covered by `buffer`
     /// Pre-drawn kPipeSubmit decisions for every spot `buffer` carries,
     /// drawn at generation time (where the owning group's global-index
     /// mapping is in scope) and applied by whichever master submits the

@@ -69,7 +69,6 @@ void FrameClient::apply_frame_sequence(const FrameBeginMsg& begin,
 
   // The server sends a frame sequence contiguously (its write mutex is
   // held across Begin..End), so every next message must belong to it.
-  render::Framebuffer tile_fb;
   MsgType type{};
   std::vector<std::uint8_t> payload;
   for (std::uint32_t i = 0; i < begin.tile_count; ++i) {
@@ -81,8 +80,10 @@ void FrameClient::apply_frame_sequence(const FrameBeginMsg& begin,
     }
     WireReader reader(payload);
     const FrameTileMsg tile = FrameTileMsg::decode(reader);
-    if (tile.x0 < 0 || tile.y0 < 0 || tile.x0 + tile.width > fb_.width() ||
-        tile.y0 + tile.height > fb_.height()) {
+    // Subtract, not add: x0 + width overflows for an origin near INT_MAX.
+    // decode() already guarantees width and height are positive.
+    if (tile.x0 < 0 || tile.y0 < 0 || tile.x0 > fb_.width() - tile.width ||
+        tile.y0 > fb_.height() - tile.height) {
       throw ProtocolError("tile rect outside the framebuffer");
     }
     // The payload hash binds pixels to their rect: a swapped or reordered
@@ -92,9 +93,12 @@ void FrameClient::apply_frame_sequence(const FrameBeginMsg& begin,
     if (expected != tile.tile_hash) {
       throw ProtocolError("tile payload hash mismatch");
     }
-    tile_fb.reset(tile.width, tile.height);
-    std::copy(tile.pixels.begin(), tile.pixels.end(), tile_fb.pixels().data());
-    fb_.copy_rect_from(tile_fb, tile.x0, tile.y0);
+    const auto rect =
+        fb_.pixels().subview(tile.x0, tile.y0, tile.width, tile.height);
+    for (int y = 0; y < tile.height; ++y) {
+      std::copy_n(tile.pixels.begin() + std::ptrdiff_t{y} * tile.width,
+                  tile.width, rect.row(y).begin());
+    }
     result.wire_bytes += kHeaderBytes + payload.size();
   }
   if (!read_message(socket_, &type, &payload)) {

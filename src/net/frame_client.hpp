@@ -3,7 +3,7 @@
 // Single-threaded by design: submit() writes a request and returns a client
 // tag immediately (frames pipeline server-side up to the server's inflight
 // ceiling); await_frame() reads messages until one full frame sequence —
-// Begin, the dirty tiles, End — has been applied to the local framebuffer.
+// Begin, the changed tiles, End — has been applied to the local framebuffer.
 //
 // Verification is the protocol's backbone: every tile's payload hash is
 // checked against its rect+pixels (a reordered or swapped payload fails
@@ -56,7 +56,7 @@ class FrameClient {
     std::int64_t job_id = 0;
     std::uint64_t content_hash = 0;
     bool degraded = false;
-    bool full = false;  ///< every tile transmitted (no delta baseline)
+    bool full = false;  ///< every tile transmitted (first frame)
     int tiles = 0;      ///< tiles actually transmitted
     /// Bytes on the wire for this frame: headers + tile payloads. The
     /// bench's delta-vs-full ratio numerator.

@@ -1,12 +1,30 @@
 #include "net/frame_server.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
-#include "core/frame_delta.hpp"
 #include "util/threading.hpp"
 
 namespace dcsn::net {
+
+namespace {
+
+/// True when any row of `tile` differs bytewise between `a` and `b`.
+bool tile_changed(const render::Framebuffer& a, const render::Framebuffer& b,
+                  const core::Tile& tile) {
+  const auto ra = a.pixels().subview(tile.x0, tile.y0, tile.width, tile.height);
+  const auto rb = b.pixels().subview(tile.x0, tile.y0, tile.width, tile.height);
+  for (int y = 0; y < tile.height; ++y) {
+    if (std::memcmp(ra.row(y).data(), rb.row(y).data(),
+                    ra.row(y).size_bytes()) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 FrameServer::FrameServer(FrameServerOptions options, core::Runtime& runtime)
     : options_(std::move(options)), service_(options_.service, runtime) {
@@ -93,12 +111,6 @@ void FrameServer::handle_open_session(Connection& conn, WireReader& reader) {
   conn.field = msg.field.make_field();
   conn.session =
       service_.open_session(msg.synthesis, msg.dnc, msg.priority);
-  // The engine's own world->pixel mapping and conservative spot extent:
-  // dirty_tiles with these inputs is the same predicate that makes
-  // incremental resynthesis bit-exact, so an untransmitted wire tile is
-  // provably unchanged on the client.
-  conn.generator =
-      std::make_unique<core::SpotGeometryGenerator>(msg.synthesis, *conn.field);
   conn.wire_tiles = core::make_tile_grid(
       msg.synthesis.texture_width, msg.synthesis.texture_height,
       std::max(1, options_.wire_tiles));
@@ -119,7 +131,7 @@ void FrameServer::handle_submit(Connection& conn, WireReader& reader) {
 
   core::SynthesisRequest request;
   request.field = conn.field.get();
-  request.spots = msg.spots;  // copy: the pump needs its own diff snapshot
+  request.spots = std::move(msg.spots);
   request.incremental = (msg.flags & SubmitMsg::kFlagIncremental) != 0;
   request.capture_texture = true;  // the pump encodes pixels from the result
 
@@ -163,7 +175,6 @@ void FrameServer::handle_submit(Connection& conn, WireReader& reader) {
     PendingFrame frame;
     frame.client_tag = msg.client_tag;
     frame.ticket = std::move(ticket);
-    frame.spots = std::move(msg.spots);
     conn.pending.push_back(std::move(frame));
   }
   conn.cv.notify_all();
@@ -231,29 +242,15 @@ void FrameServer::reader_loop(Connection& conn) {
   conn.cv.notify_all();
 }
 
-void FrameServer::send_frame(Connection& conn, PendingFrame& frame,
+void FrameServer::send_frame(Connection& conn, const PendingFrame& frame,
                              core::SynthesisResult& result) {
   const render::Framebuffer& texture = *result.texture;
-  const bool degraded = result.stats.degraded;
-  // A valid baseline plus a clean (non-degraded) frame allows a delta; the
-  // first frame and any frame after a degraded/failed one ship full,
-  // because a degraded frame's stale pixels break the spot<->pixel
-  // correspondence the diff relies on.
-  const bool full = !conn.baseline_valid || degraded;
-
+  // Every tile of the first frame, then only the tiles whose bytes differ
+  // from what the client holds — a degraded (stale) frame included.
+  const bool full = !conn.sent.has_value();
   std::vector<const core::Tile*> to_send;
-  if (full) {
-    to_send.reserve(conn.wire_tiles.size());
-    for (const core::Tile& t : conn.wire_tiles) to_send.push_back(&t);
-  } else {
-    const core::FrameDelta delta =
-        core::diff_spots(conn.prev_spots, frame.spots);
-    const std::vector<std::uint8_t> dirty = core::dirty_tiles(
-        delta, conn.prev_spots, frame.spots, conn.generator->mapping(),
-        conn.generator->max_extent_px(), conn.wire_tiles);
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-      if (dirty[i] != 0) to_send.push_back(&conn.wire_tiles[i]);
-    }
+  for (const core::Tile& t : conn.wire_tiles) {
+    if (full || tile_changed(*conn.sent, texture, t)) to_send.push_back(&t);
   }
 
   FrameBeginMsg begin;
@@ -263,45 +260,40 @@ void FrameServer::send_frame(Connection& conn, PendingFrame& frame,
   begin.width = texture.width();
   begin.height = texture.height();
   begin.tile_count = static_cast<std::uint32_t>(to_send.size());
-  begin.flags = (degraded ? FrameBeginMsg::kFlagDegraded : 0) |
+  begin.flags = (result.stats.degraded ? FrameBeginMsg::kFlagDegraded : 0) |
                 (full ? FrameBeginMsg::kFlagFull : 0);
   begin.service_seq = result.service_seq;
   begin.attempts = result.attempts;
 
-  render::Framebuffer scratch;
   {
     // Hold the write mutex across the whole Begin -> Tiles -> End sequence
     // so reader-thread control replies cannot splice into the frame.
     util::MutexLock lock(conn.write_mutex);
     send_message(conn.socket, MsgType::kFrameBegin, begin.encode());
+    FrameTileMsg msg;
     for (const core::Tile* tile : to_send) {
-      scratch.reset(tile->width, tile->height);
-      texture.extract_rect_into(scratch, tile->x0, tile->y0);
-      FrameTileMsg msg;
       msg.x0 = tile->x0;
       msg.y0 = tile->y0;
       msg.width = tile->width;
       msg.height = tile->height;
-      const auto pixels = scratch.pixels();
-      const std::span<const float> flat(pixels.data(), scratch.pixel_count());
-      msg.tile_hash =
-          tile_payload_hash(msg.x0, msg.y0, msg.width, msg.height, flat);
-      msg.pixels.assign(flat.begin(), flat.end());
+      const auto rect = texture.pixels().subview(tile->x0, tile->y0,
+                                                 tile->width, tile->height);
+      msg.pixels.clear();
+      msg.pixels.reserve(static_cast<std::size_t>(tile->width) *
+                         static_cast<std::size_t>(tile->height));
+      for (int y = 0; y < tile->height; ++y) {
+        const auto row = rect.row(y);
+        msg.pixels.insert(msg.pixels.end(), row.begin(), row.end());
+      }
+      msg.tile_hash = tile_payload_hash(msg.x0, msg.y0, msg.width,
+                                        msg.height, msg.pixels);
       send_message(conn.socket, MsgType::kFrameTile, msg.encode());
     }
     FrameEndMsg end;
     end.client_tag = frame.client_tag;
     send_message(conn.socket, MsgType::kFrameEnd, end.encode());
   }
-
-  if (degraded) {
-    // The client now holds stale pixels; the next clean frame must ship
-    // full because prev_spots no longer describes what the client sees.
-    conn.baseline_valid = false;
-  } else {
-    conn.prev_spots = std::move(frame.spots);
-    conn.baseline_valid = true;
-  }
+  conn.sent = std::move(result.texture);
 }
 
 void FrameServer::pump_loop(Connection& conn) {
@@ -333,10 +325,6 @@ void FrameServer::pump_loop(Connection& conn) {
       err.code = static_cast<std::uint8_t>(JobErrorCode::kFailed);
       err.message = e.what();
     }
-    // A failed/canceled/timed-out job delivered nothing; the engine may
-    // advance on retry-after-failure paths, so be conservative and resend
-    // full next time.
-    conn.baseline_valid = false;
     try {
       send_control(conn, MsgType::kJobError, err.encode());
     } catch (...) {

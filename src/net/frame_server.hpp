@@ -1,5 +1,5 @@
 // Network front end for core::SynthesisService: sessions over local
-// sockets, frames as dirty-tile deltas.
+// sockets, frames as changed-tile deltas.
 //
 // Threading model (per server):
 //
@@ -22,14 +22,13 @@
 // jobs per connection — exactly the bounded queue depth its PerfModel
 // admission check reasons about.
 //
-// Delta encoding: the pump keeps the per-connection baseline (last
-// delivered spot snapshot + shadow framebuffer). For each completed frame
-// it diffs spot populations (core::diff_spots) and projects changed extents
-// onto a wire tile grid (core::dirty_tiles) with the engine's own
-// world->pixel mapping and conservative spot extent — the same predicate
-// that makes incremental resynthesis sound makes the untransmitted tiles
-// provably bit-identical on the client. Degraded frames (stale pixels) and
-// the first frame ship full and reset the baseline.
+// Delta encoding: the pump keeps the last texture it delivered on each
+// connection. A finished frame ships the wire tiles whose bytes differ from
+// that texture (memcmp row by row, so -0.0f vs +0.0f and NaN payloads count
+// as changes, as they do in the frame hash); the first frame ships full.
+// An untransmitted tile is therefore bitwise equal to what the client holds
+// by construction, whatever produced the frame: a clean render, a degraded
+// (stale) frame or a reordered spot population.
 //
 // Shutdown is a graceful drain: stop() half-closes every connection's read
 // side (clients see EOF, readers stop accepting), pumps deliver every
@@ -40,12 +39,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/runtime.hpp"
-#include "core/spot_geometry.hpp"
 #include "core/synthesis_service.hpp"
 #include "core/tiling.hpp"
 #include "net/protocol.hpp"
@@ -95,8 +94,6 @@ class FrameServer {
   struct PendingFrame {
     std::uint64_t client_tag = 0;
     core::SynthesisService::JobTicket ticket;
-    /// Owned snapshot of the submitted spots — the pump's diff input.
-    std::vector<core::SpotInstance> spots;
   };
 
   struct Connection {
@@ -124,15 +121,11 @@ class FrameServer {
     core::SynthesisService::SessionId session = 0;  // lock-lint: unguarded(written before first submit, mutex handoff)
     bool session_open = false;  // lock-lint: unguarded(written before first submit, mutex handoff)
     std::unique_ptr<field::VectorField> field;  // lock-lint: unguarded(written before first submit, mutex handoff)
-    std::unique_ptr<core::SpotGeometryGenerator> generator;  // lock-lint: unguarded(written before first submit, mutex handoff)
     std::vector<core::Tile> wire_tiles;  // lock-lint: unguarded(written before first submit, mutex handoff)
 
-    // Delta baseline: pump thread only. No shadow framebuffer is needed —
-    // determinism (PR 4 lattice) plus the conservative dirty predicate
-    // guarantee the client's retained pixels equal the new frame's clean
-    // tiles, so the spot snapshot alone defines the baseline.
-    std::vector<core::SpotInstance> prev_spots;  // lock-lint: unguarded(pump thread only)
-    bool baseline_valid = false;  // lock-lint: unguarded(pump thread only)
+    /// The last texture delivered on this connection — what the client
+    /// holds; empty until the first frame ships.
+    std::optional<render::Framebuffer> sent;  // lock-lint: unguarded(pump thread only)
 
     std::atomic<bool> finished{false};  ///< both loops exited (reapable)
 
@@ -149,7 +142,7 @@ class FrameServer {
   void handle_open_session(Connection& conn, WireReader& reader);
   void handle_submit(Connection& conn, WireReader& reader);
   /// Streams one finished frame (full or delta) under the write mutex.
-  void send_frame(Connection& conn, PendingFrame& frame,
+  void send_frame(Connection& conn, const PendingFrame& frame,
                   core::SynthesisResult& result);
   void send_control(Connection& conn, MsgType type,
                     std::span<const std::uint8_t> payload);

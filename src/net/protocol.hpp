@@ -238,8 +238,8 @@ struct SubmitAckMsg {
 
 struct FrameBeginMsg {
   static constexpr std::uint8_t kFlagDegraded = 1u << 0;
-  /// Every tile of the frame is transmitted (first frame, or the delta
-  /// baseline was invalidated by a degraded/failed frame).
+  /// Every tile of the frame is transmitted (the connection's first frame:
+  /// the server has no delivered texture to compare against yet).
   static constexpr std::uint8_t kFlagFull = 1u << 1;
 
   std::uint64_t client_tag = 0;

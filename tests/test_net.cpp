@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dnc_synthesizer.hpp"
@@ -678,17 +679,26 @@ TEST(NetClient, RejectsContentHashMismatch) {
 }
 
 TEST(NetClient, RejectsTileOutsideFramebuffer) {
-  FakeServer fake;
-  fake.open(8, 8);
-  const FrameTileMsg tile = make_tile(4, 4, 8, 4, 1.0f);  // spills right
+  constexpr int kMax = std::numeric_limits<std::int32_t>::max();
+  // Each tile is well hashed; only its rect is wrong. The INT_MAX origins
+  // would wrap a naive `x0 + width > fb width` check.
+  const std::vector<FrameTileMsg> tiles = {
+      make_tile(4, 4, 8, 4, 1.0f),     // spills right
+      make_tile(kMax, 0, 1, 1, 1.0f),  // x origin at INT_MAX
+      make_tile(0, kMax, 1, 1, 1.0f),  // y origin at INT_MAX
+  };
+  for (const FrameTileMsg& tile : tiles) {
+    SCOPED_TRACE(testing::Message() << "tile at " << tile.x0 << "," << tile.y0);
+    FakeServer fake;
+    fake.open(8, 8);
+    fake.send(MsgType::kSubmitAck, SubmitAckMsg{.client_tag = 1, .job_id = 100}.encode());
+    fake.send(MsgType::kFrameBegin, begin_for(1, 8, 8, {tile}, 0).encode());
+    fake.send(MsgType::kFrameTile, tile.encode());
+    fake.send(MsgType::kFrameEnd, FrameEndMsg{.client_tag = 1}.encode());
 
-  fake.send(MsgType::kSubmitAck, SubmitAckMsg{.client_tag = 1, .job_id = 100}.encode());
-  fake.send(MsgType::kFrameBegin, begin_for(1, 8, 8, {tile}, 0).encode());
-  fake.send(MsgType::kFrameTile, tile.encode());
-  fake.send(MsgType::kFrameEnd, FrameEndMsg{.client_tag = 1}.encode());
-
-  (void)fake.client.submit({}, plain_submit());
-  EXPECT_THROW((void)fake.client.await_frame(), ProtocolError);
+    (void)fake.client.submit({}, plain_submit());
+    EXPECT_THROW((void)fake.client.await_frame(), ProtocolError);
+  }
 }
 
 // --------------------------------------------------- loopback layer ------
@@ -760,6 +770,80 @@ TEST(NetLoopback, DeltaFramesStayBitExactAndTransmitLess) {
   const auto third = client.await_frame();
   EXPECT_FALSE(third.full);
   EXPECT_EQ(third.tiles, 0);
+  EXPECT_TRUE(client.framebuffer() == solo.texture());
+  server.stop();
+}
+
+TEST(NetLoopback, ReorderedPopulationShipsNoTiles) {
+  // Swapping two spots changes no pixel (the contribution lattice makes
+  // the sum order-free), so no tile's bytes change and none ships.
+  const auto config = small_config();
+  const auto dnc = small_dnc();
+  const FieldSpec spec = vortex_spec();
+  auto spots = test_spots(config, spec.domain);
+
+  FrameServer server(loopback_options());
+  auto [client_end, server_end] = Socket::pair();
+  server.adopt(std::move(server_end));
+  FrameClient client(std::move(client_end));
+  (void)client.open_session(spec, config, dnc);
+
+  (void)client.submit(spots, plain_submit());
+  const auto first = client.await_frame();
+  ASSERT_TRUE(first.full);
+
+  std::swap(spots[3], spots[150]);
+  (void)client.submit(spots, plain_submit());
+  const auto second = client.await_frame();
+  EXPECT_FALSE(second.full);
+  EXPECT_EQ(second.tiles, 0);
+  EXPECT_EQ(second.content_hash, first.content_hash);
+  server.stop();
+}
+
+TEST(NetLoopback, DegradedFrameShipsOnlyChangedTiles) {
+  const auto config = small_config();
+  const auto dnc = small_dnc();
+  const FieldSpec spec = vortex_spec();
+  const auto field = spec.make_field();
+  auto spots = test_spots(config, spec.domain);
+
+  FrameServer server(loopback_options());
+  auto [client_end, server_end] = Socket::pair();
+  server.adopt(std::move(server_end));
+  FrameClient client(std::move(client_end));
+  (void)client.open_session(spec, config, dnc);
+
+  // Frame 1 calibrates the session so a later frame can degrade.
+  (void)client.submit(spots, plain_submit());
+  const auto first = client.await_frame();
+  ASSERT_TRUE(first.full);
+
+  // An impossible deadline under kDegrade serves the last completed frame:
+  // exactly what the client already holds, so nothing ships.
+  spots[17].position.x += 0.05;
+  spots[17].position.y -= 0.03;
+  net::ClientSubmitOptions hurried = plain_submit();
+  hurried.deadline_seconds = 1e-9;
+  hurried.policy = core::SubmitOptions::DeadlinePolicy::kDegrade;
+  (void)client.submit(spots, hurried);
+  const auto degraded = client.await_frame();
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_FALSE(degraded.full);
+  EXPECT_EQ(degraded.tiles, 0);
+  EXPECT_EQ(degraded.content_hash, first.content_hash);
+
+  // The clean frame after it ships only the tiles the moved spot touched.
+  (void)client.submit(spots, plain_submit());
+  const auto clean = client.await_frame();
+  EXPECT_FALSE(clean.degraded);
+  EXPECT_FALSE(clean.full);
+  EXPECT_GT(clean.tiles, 0);
+  EXPECT_LT(clean.tiles, first.tiles);
+
+  core::DncSynthesizer solo(config, dnc);
+  solo.synthesize(*field, spots);
+  EXPECT_EQ(clean.content_hash, solo.texture().content_hash());
   EXPECT_TRUE(client.framebuffer() == solo.texture());
   server.stop();
 }
