@@ -1,13 +1,15 @@
 // Micro benchmarks (google-benchmark) for the building blocks: RNG, field
 // sampling, integrators, streamline tracing, spot geometry generation,
-// rasterization, blending/compose, and texture filters. These are the genP
-// and genT primitives whose ratio drives the divide-and-conquer balance.
+// rasterization, blending/compose, texture filters, and the per-frame wire
+// passes (frame hash, tile codec). The first groups are the genP and genT
+// primitives whose ratio drives the divide-and-conquer balance.
 #include <benchmark/benchmark.h>
 
 #include "core/filters.hpp"
 #include "core/spot_geometry.hpp"
 #include "field/analytic.hpp"
 #include "field/grid_field.hpp"
+#include "net/protocol.hpp"
 #include "particles/integrators.hpp"
 #include "particles/particle_system.hpp"
 #include "particles/tracer.hpp"
@@ -190,6 +192,38 @@ void BM_GatherBlend(benchmark::State& state) {
                           512 * 512 * 4);
 }
 BENCHMARK(BM_GatherBlend)->Arg(1)->Arg(2)->Arg(4);
+
+// ------------------------------------------------------------------ wire ---
+
+void BM_ContentHash(benchmark::State& state) {
+  render::Framebuffer fb(256, 256);
+  util::Rng rng(8);
+  for (int y = 0; y < 256; ++y)
+    for (int x = 0; x < 256; ++x) fb.at(x, y) = rng.uniform_f();
+  for (auto _ : state) benchmark::DoNotOptimize(fb.content_hash());
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(fb.byte_size()));
+}
+BENCHMARK(BM_ContentHash);
+
+void BM_TileCodec(benchmark::State& state) {
+  net::FrameTileMsg tile;
+  tile.x0 = 32;
+  tile.y0 = 64;
+  tile.width = 32;
+  tile.height = 32;
+  util::Rng rng(9);
+  tile.pixels.resize(32 * 32);
+  for (float& p : tile.pixels) p = rng.uniform_f();
+  tile.tile_hash = net::tile_payload_hash(tile.x0, tile.y0, tile.width, tile.height, tile.pixels);
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> payload = tile.encode();
+    net::WireReader reader(payload);
+    benchmark::DoNotOptimize(net::FrameTileMsg::decode(reader).pixels.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tile.pixels.size() * sizeof(float)));
+}
+BENCHMARK(BM_TileCodec);
 
 // ---------------------------------------------------------------- filters ---
 

@@ -1,9 +1,18 @@
 #include "net/protocol.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "field/analytic.hpp"
 #include "util/hash.hpp"
 
 namespace dcsn::net {
+
+// The wire is little-endian by spec. The tile codec copies pixel blocks as
+// host memory and lane_hash loads host-order words, so a big-endian host
+// would need byte swaps there; none is supported, so none is kept.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec assumes a little-endian host");
 
 namespace {
 
@@ -280,18 +289,19 @@ std::uint64_t tile_payload_hash(std::int32_t x0, std::int32_t y0,
                                 std::int32_t width, std::int32_t height,
                                 std::span<const float> pixels) {
   const std::int32_t rect[4] = {x0, y0, width, height};
-  std::uint64_t h = util::fnv1a(rect, sizeof(rect));
-  return util::fnv1a(pixels.data(), pixels.size_bytes(), h);
+  const std::uint64_t h = util::lane_hash(rect, sizeof(rect));
+  return util::lane_hash(pixels.data(), pixels.size_bytes(), h);
 }
 
 std::vector<std::uint8_t> FrameTileMsg::encode() const {
   WireWriter w;
+  w.reserve(kTileHeaderBytes + pixels.size() * sizeof(float));
   w.i32(x0);
   w.i32(y0);
   w.i32(width);
   w.i32(height);
   w.u64(tile_hash);
-  for (const float p : pixels) w.f32(p);
+  w.bytes(pixels.data(), pixels.size() * sizeof(float));
   return w.take();
 }
 
@@ -309,7 +319,8 @@ FrameTileMsg FrameTileMsg::decode(WireReader& r) {
     throw ProtocolError("tile pixel payload does not match rect");
   }
   m.pixels.resize(count);
-  for (float& p : m.pixels) p = r.f32();
+  const auto block = r.raw(count * sizeof(float));
+  std::memcpy(m.pixels.data(), block.data(), block.size());
   r.expect_end();
   return m;
 }
@@ -398,6 +409,7 @@ std::vector<std::uint8_t> frame_message(MsgType type,
     throw ProtocolError("message payload exceeds kMaxPayloadBytes");
   }
   WireWriter w;
+  w.reserve(kHeaderBytes + payload.size());
   w.u32(kMagic);
   w.u8(static_cast<std::uint8_t>(type));
   w.u32(static_cast<std::uint32_t>(payload.size()));

@@ -5,17 +5,21 @@
 //
 //   [u32 magic 'DCSN'] [u8 type] [u32 payload_len] [payload_len bytes]
 //
-// All integers are little-endian regardless of host order, written and read
-// byte by byte; floating-point values travel as the bit pattern of their
-// IEEE-754 representation (std::bit_cast through the matching unsigned
-// type), never through text — the whole point of the delta stream is that a
-// client framebuffer reassembles *bit-identically* to the server's engine
-// texture, so the serializer must not perturb a single mantissa bit.
+// All integers are little-endian, written and read byte by byte;
+// floating-point values travel as the bit pattern of their IEEE-754
+// representation (std::bit_cast through the matching unsigned type), never
+// through text — the whole point of the delta stream is that a client
+// framebuffer reassembles *bit-identically* to the server's engine texture,
+// so the serializer must not perturb a single mantissa bit. A tile's pixel
+// block is the one bulk field: it is copied as one block of host floats,
+// which is why protocol.cpp requires a little-endian host.
 //
 // A frame result travels as a kFrameBegin header (dimensions, the engine's
 // Framebuffer::content_hash, tile count, flags) followed by one kFrameTile
-// per transmitted tile (pixel rect + an FNV-1a hash binding the rect to its
-// payload, so a reordered or swapped payload is rejected) and a kFrameEnd.
+// per transmitted tile (pixel rect + a util::lane_hash binding the rect to
+// its payload, so a reordered or swapped payload is rejected) and a
+// kFrameEnd. Both hashes are part of the wire contract: changing either one
+// bumps kProtocolVersion.
 // Clean tiles are simply not transmitted: the client's previous pixels are
 // already bit-exact there (the PR 4 determinism lattice), which is how
 // core::FrameDelta doubles as bandwidth compression.
@@ -51,12 +55,14 @@ class ProtocolError : public util::Error {
 };
 
 inline constexpr std::uint32_t kMagic = 0x4E534344u;  // "DCSN" little-endian
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Upper bound on a declared payload length. A 4 KiB texture at f32 is
 /// 64 MiB; anything above this is a corrupt or hostile length prefix, not a
 /// frame, and must be rejected *before* allocating.
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 inline constexpr std::size_t kHeaderBytes = 9;
+/// A kFrameTile payload is this rect-and-hash prefix plus 4 bytes a pixel.
+inline constexpr std::size_t kTileHeaderBytes = 24;
 /// Upper bound on an OpenSession's processors and on its pipes: each one is
 /// a server thread, so a hostile count must be rejected before the runtime
 /// spawns them.
@@ -100,6 +106,8 @@ class WireWriter {
     // false-positives on short-string iterator inserts under -O2.
     for (const char c : s) buf_.push_back(static_cast<std::uint8_t>(c));
   }
+  /// Sizes the buffer for `n` bytes up front when the caller knows them.
+  void reserve(std::size_t n) { buf_.reserve(n); }
   void bytes(const void* data, std::size_t n) {
     if (n == 0) return;
     const auto* p = static_cast<const std::uint8_t*>(data);
@@ -271,7 +279,7 @@ struct FrameTileMsg {
   [[nodiscard]] static FrameTileMsg decode(WireReader& r);
 };
 
-/// FNV-1a over the rect followed by the raw pixel bits.
+/// util::lane_hash over the rect followed by the raw pixel bits.
 [[nodiscard]] std::uint64_t tile_payload_hash(std::int32_t x0, std::int32_t y0,
                                               std::int32_t width,
                                               std::int32_t height,

@@ -97,10 +97,11 @@ std::uint64_t Framebuffer::content_hash() const {
   // collide; pixels hash as raw bits, which is exactly as strict as
   // operator== except that it distinguishes -0.0f from +0.0f (the engine
   // never produces -0.0f — contributions are lattice-snapped, see
-  // util/simd.hpp).
-  std::uint64_t h = util::fnv1a(&width_, sizeof width_);
-  h = util::fnv1a(&height_, sizeof height_, h);
-  return util::fnv1a(data_.data(), data_.size() * sizeof(float), h);
+  // util/simd.hpp). lane_hash, not fnv1a: this runs several times per
+  // served frame.
+  const int dims[2] = {width_, height_};
+  const std::uint64_t h = util::lane_hash(dims, sizeof dims);
+  return util::lane_hash(data_.data(), data_.size() * sizeof(float), h);
 }
 
 std::pair<float, float> Framebuffer::min_max() const {

@@ -61,9 +61,10 @@ class Framebuffer {
   /// without re-reading the pipe).
   void extract_rect_into(Framebuffer& dst, int x0, int y0) const;
 
-  /// FNV-1a fingerprint of dimensions + raw pixel bits. The engine renders
-  /// bit-deterministically, so this is the stable frame identity the golden
-  /// suite checks in (tests/golden/).
+  /// util::lane_hash fingerprint of dimensions + raw pixel bits. The engine
+  /// renders bit-deterministically, so this is the frame identity the
+  /// service reports and the network client verifies (the golden suite
+  /// fingerprints the same bytes with util::fnv1a instead).
   [[nodiscard]] std::uint64_t content_hash() const;
 
   [[nodiscard]] std::pair<float, float> min_max() const;

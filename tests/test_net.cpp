@@ -19,6 +19,7 @@
 // in-process engine — the bit-exactness contract the delta encoding rides.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -462,6 +463,63 @@ TEST(NetProtocol, TilePayloadHashBindsRectToPayload) {
   // hash must see bits, not values.
   EXPECT_NE(net::tile_payload_hash(0, 0, 1, 1, std::vector<float>{0.0f}),
             net::tile_payload_hash(0, 0, 1, 1, std::vector<float>{-0.0f}));
+}
+
+TEST(NetProtocol, TilePayloadOffByAFewBytesRejected) {
+  FrameTileMsg tile;
+  tile.width = 3;
+  tile.height = 2;
+  tile.pixels = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
+  const std::vector<std::uint8_t> good = tile.encode();
+  for (const std::size_t delta : {1u, 3u, 4u}) {
+    const std::vector<std::uint8_t> short_payload(good.begin(),
+                                                  good.end() - static_cast<std::ptrdiff_t>(delta));
+    WireReader sr(short_payload);
+    EXPECT_THROW((void)FrameTileMsg::decode(sr), ProtocolError) << delta << " short";
+    std::vector<std::uint8_t> long_payload = good;
+    long_payload.insert(long_payload.end(), delta, std::uint8_t{0xAB});
+    WireReader lr(long_payload);
+    EXPECT_THROW((void)FrameTileMsg::decode(lr), ProtocolError) << delta << " long";
+  }
+}
+
+TEST(NetProtocol, TileCodecRoundTripsSpecialFloatBitsExactly) {
+  // The pixel block is copied, not converted: NaN payloads, signed zeros
+  // and denormals must survive bit for bit.
+  const std::vector<std::uint32_t> bits = {
+      0x7FC00001u,  // quiet NaN with a payload
+      0xFFC12345u,  // negative quiet NaN with a payload
+      0x7F800001u,  // signaling NaN
+      0x00000000u,  // +0.0f
+      0x80000000u,  // -0.0f
+      0x00000001u,  // smallest denormal
+      0x807FFFFFu,  // largest negative denormal
+      0x7F800000u,  // +inf
+  };
+  FrameTileMsg tile;
+  tile.width = 4;
+  tile.height = 2;
+  for (const std::uint32_t b : bits) tile.pixels.push_back(std::bit_cast<float>(b));
+  tile.tile_hash = net::tile_payload_hash(0, 0, 4, 2, tile.pixels);
+  const auto payload = tile.encode();
+  WireReader r(payload);
+  const FrameTileMsg back = FrameTileMsg::decode(r);
+  ASSERT_EQ(back.pixels.size(), bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(back.pixels[i]), bits[i]) << "pixel " << i;
+  }
+  EXPECT_EQ(net::tile_payload_hash(0, 0, 4, 2, back.pixels), tile.tile_hash);
+}
+
+TEST(NetProtocol, TileEncodedSizeIsHeaderPlusPixels) {
+  for (const auto& [w, h] : {std::pair{1, 1}, std::pair{7, 3}, std::pair{32, 32}}) {
+    FrameTileMsg tile;
+    tile.width = w;
+    tile.height = h;
+    tile.pixels.assign(static_cast<std::size_t>(w) * static_cast<std::size_t>(h), 0.5f);
+    EXPECT_EQ(tile.encode().size(), 24u + 4u * static_cast<std::size_t>(w * h))
+        << w << "x" << h;
+  }
 }
 
 // ---------------------------------------------------- framing layer ------

@@ -1,17 +1,20 @@
 // Unit tests for the util layer: RNG statistics and determinism, timing,
-// queues, spans, work distribution, CLI parsing.
+// queues, spans, work distribution, CLI parsing, the word-lane hash.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "render/framebuffer.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/queue.hpp"
 #include "util/rng.hpp"
 #include "util/span2d.hpp"
@@ -572,6 +575,87 @@ TEST(Stats, PercentileDoesNotReorderCallerSample) {
   const std::vector<double> copy = values;
   (void)util::percentile(values, 0.5);
   EXPECT_EQ(values, copy) << "percentile takes its sample by value";
+}
+
+// -------------------------------------------------------------- LaneHash ---
+
+TEST(LaneHash, EverySingleBitFlipChangesTheHashUpTo67Bytes) {
+  // 0-67 bytes covers every split into 32-byte blocks, whole tail words
+  // and a 1-7 byte partial word.
+  for (std::size_t n = 0; n <= 67; ++n) {
+    std::vector<unsigned char> buf(n);
+    for (std::size_t i = 0; i < n; ++i) buf[i] = static_cast<unsigned char>(i * 37 + 11);
+    const std::uint64_t base = util::lane_hash(buf.data(), n);
+    for (std::size_t bit = 0; bit < n * 8; ++bit) {
+      buf[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+      EXPECT_NE(util::lane_hash(buf.data(), n), base) << "length " << n << " bit " << bit;
+      buf[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    }
+  }
+}
+
+TEST(LaneHash, RandomBitFlipsInAFrameSizedBufferChangeTheHash) {
+  std::vector<unsigned char> buf(256 * 1024);
+  util::Rng rng(1997);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  const std::uint64_t base = util::lane_hash(buf.data(), buf.size());
+  for (int k = 0; k < 4096; ++k) {
+    const auto bit = static_cast<std::size_t>(
+        rng.index(static_cast<std::int64_t>(buf.size() * 8)));
+    buf[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    ASSERT_NE(util::lane_hash(buf.data(), buf.size()), base) << "bit " << bit;
+    buf[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+  }
+}
+
+TEST(LaneHash, TrailingZeroBytesChangeTheHash) {
+  // The zero-padded partial word alone cannot tell these apart; the byte
+  // length folded in at the end must.
+  const std::vector<unsigned char> zeros(80, 0);
+  std::set<std::uint64_t> seen;
+  for (std::size_t n = 0; n <= zeros.size(); ++n) {
+    EXPECT_TRUE(seen.insert(util::lane_hash(zeros.data(), n)).second) << "length " << n;
+  }
+  const unsigned char abc[4] = {'a', 'b', 'c', 0};
+  EXPECT_NE(util::lane_hash(abc, 3), util::lane_hash(abc, 4));
+}
+
+TEST(LaneHash, SeedChains) {
+  const unsigned char a[5] = {1, 2, 3, 4, 5};
+  const unsigned char b[9] = {9, 8, 7, 6, 5, 4, 3, 2, 1};
+  const std::uint64_t ha = util::lane_hash(a, sizeof a);
+  EXPECT_EQ(ha, util::lane_hash(a, sizeof a, util::kLaneHashSeed));
+  EXPECT_NE(util::lane_hash(a, sizeof a, 1), ha);
+  EXPECT_NE(util::lane_hash(nullptr, 0, 1), util::lane_hash(nullptr, 0, 2));
+  // Chaining through the seed makes the second hash depend on the first
+  // buffer, and the order of the two matters.
+  const std::uint64_t ab = util::lane_hash(b, sizeof b, ha);
+  EXPECT_NE(ab, util::lane_hash(b, sizeof b));
+  EXPECT_NE(ab, util::lane_hash(a, sizeof a, util::lane_hash(b, sizeof b)));
+  const unsigned char a2[5] = {1, 2, 3, 4, 6};
+  EXPECT_NE(ab, util::lane_hash(b, sizeof b, util::lane_hash(a2, sizeof a2)));
+}
+
+TEST(LaneHash, KnownAnswers) {
+  // Pinned: Framebuffer::content_hash and net::tile_payload_hash are part
+  // of the wire contract, so a change here must bump net::kProtocolVersion.
+  EXPECT_EQ(util::lane_hash(nullptr, 0), 0x92a9edb53ff68534ULL);
+  EXPECT_EQ(util::lane_hash("dcsn", 4), 0xd470b56845b3677cULL);
+  unsigned char iota[67];
+  for (int i = 0; i < 67; ++i) iota[i] = static_cast<unsigned char>(i);
+  EXPECT_EQ(util::lane_hash(iota, sizeof iota), 0x4a0bc1d8ae82c0c2ULL);
+  EXPECT_EQ(util::lane_hash(iota, sizeof iota, 1), 0xd0ca55f215cecfcdULL);
+  const std::vector<float> frame(256 * 256, 0.0f);
+  EXPECT_EQ(util::lane_hash(frame.data(), frame.size() * sizeof(float)),
+            0x8777ae53a245b841ULL);
+}
+
+TEST(LaneHash, ContentHashTellsReshapedBuffersApart) {
+  // Same 64 zero bytes, different shape: the dimension prefix decides.
+  const render::Framebuffer wide(8, 2);
+  const render::Framebuffer tall(2, 8);
+  EXPECT_NE(wide.content_hash(), tall.content_hash());
+  EXPECT_EQ(wide.content_hash(), render::Framebuffer(8, 2).content_hash());
 }
 
 }  // namespace
