@@ -18,6 +18,7 @@
 #include "util/simd_dispatch.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace {
@@ -111,28 +112,75 @@ BENCHMARK(BM_ParticleAdvance)->Arg(2500)->Arg(40000);
 
 // -------------------------------------------------------- spot geometry ---
 
+// The fields BM_SpotGeometry traces: the 64^2 grid (no sample_lanes override,
+// so the default per-lane loop) and the two perfbench bent-spot scenes,
+// `animate`'s Rankine vortex (4 substeps) and `steer`'s uniform flow (8).
+enum SpotScene : int { kGridScene = 0, kAnimateScene = 1, kSteerScene = 2 };
+
+// Four random spots per iteration (one lane group of bent spots) on the
+// SIMD tier given as the last argument; items/s is spots/s.
 void BM_SpotGeometry(benchmark::State& state) {
-  const auto f = make_grid_field(64);
+  const auto tier = static_cast<util::simd::Tier>(state.range(3));
+  if (!util::simd::tier_available(tier)) {
+    state.SkipWithError("SIMD tier not available on this host");
+    return;
+  }
   core::SynthesisConfig config;
   config.kind = static_cast<core::SpotKind>(state.range(0));
   config.bent.mesh_cols = 16;
   config.bent.mesh_rows = 3;
   config.bent.trace_substeps = static_cast<int>(state.range(1));
-  const core::SpotGeometryGenerator generator(config, f);
+  std::unique_ptr<field::VectorField> f;
+  const field::Rect scene_domain{0.0, 0.0, 4.0, 4.0};
+  switch (state.range(2)) {
+    case kGridScene:
+      f = std::make_unique<field::GridVectorField>(make_grid_field(64));
+      break;
+    case kAnimateScene:
+      f = field::analytic::rankine_vortex({2.0, 2.0}, 1.2, 0.8, scene_domain);
+      break;
+    default:
+      f = field::analytic::uniform({0.55, 0.22}, scene_domain);
+      break;
+  }
+  if (state.range(2) != kGridScene) {  // perfbench's bent_config
+    config.texture_width = config.texture_height = 256;
+    config.spot_radius_px = 3.0;
+    config.bent.length_px = 22.0;
+  }
+  const core::SpotGeometryGenerator generator(config, *f);
+  const field::Rect d = f->domain();
+  const util::simd::Tier ambient = util::simd::active_tier();
+  util::simd::set_active_tier(tier);
   render::CommandBuffer buffer;
   util::Rng rng(5);
+  std::vector<core::SpotInstance> spots(core::SpotGeometryGenerator::kGroupSpots);
   for (auto _ : state) {
     buffer.clear();
-    generator.generate({{rng.uniform(), rng.uniform()}, 1.0}, buffer);
+    for (core::SpotInstance& spot : spots) {
+      spot = {{rng.uniform(d.x0, d.x1), rng.uniform(d.y0, d.y1)}, 1.0};
+    }
+    generator.generate_all(spots, buffer);
     benchmark::DoNotOptimize(buffer.vertex_count());
   }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(spots.size()));
+  util::simd::set_active_tier(ambient);
 }
-BENCHMARK(BM_SpotGeometry)
-    ->Args({static_cast<int>(core::SpotKind::kPoint), 1})
-    ->Args({static_cast<int>(core::SpotKind::kEllipse), 1})
-    ->Args({static_cast<int>(core::SpotKind::kBent), 1})
-    ->Args({static_cast<int>(core::SpotKind::kBent), 4})
-    ->Args({static_cast<int>(core::SpotKind::kBent), 24});
+void spot_geometry_args(benchmark::internal::Benchmark* b) {
+  const auto point = static_cast<int>(core::SpotKind::kPoint);
+  const auto ellipse = static_cast<int>(core::SpotKind::kEllipse);
+  const auto bent = static_cast<int>(core::SpotKind::kBent);
+  const auto detected = static_cast<int>(util::simd::active_tier());
+  b->ArgNames({"kind", "substeps", "scene", "tier"});
+  b->Args({point, 1, kGridScene, detected});
+  b->Args({ellipse, 1, kGridScene, detected});
+  for (const int substeps : {1, 4, 24}) b->Args({bent, substeps, kGridScene, detected});
+  for (const util::simd::Tier tier : util::simd::available_tiers()) {
+    b->Args({bent, 4, kAnimateScene, static_cast<int>(tier)});
+    b->Args({bent, 8, kSteerScene, static_cast<int>(tier)});
+  }
+}
+BENCHMARK(BM_SpotGeometry)->Apply(spot_geometry_args);
 
 // ------------------------------------------------------------ rasterizer ---
 

@@ -30,11 +30,20 @@ the pixels. Three textual rules keep that property from regressing:
       as the scalar expression, and an unquantized vector accumulation is
       invisible to D3's `+=` pattern.
       waiver: `// determinism:` comment on the line or the line above.
+  D5  no fused multiply-add anywhere in src/{core,render,particles,field,util}:
+      no FMA intrinsics (_mm*_fmadd_* / _mm*_fmsub_* and their fnm/addsub
+      forms), no std::fma / fma( calls, and no target(...) attribute string
+      naming fma. A fused multiply-add rounds once where the scalar
+      expression rounds twice, so an FMA lane stops matching the scalar
+      lane bit for bit (goldens, lane-vs-scalar fuzz, incremental reuse).
+      The build adds -ffp-contract=off, so the compiler never fuses a
+      product and a sum on its own either. No waiver.
 
 Exit status: 0 clean, 1 violations, 2 usage error.
 
-  scripts/determinism_lint.py [--root DIR]   lint DIR/src/{core,render} and
-                                             DIR/src/util/simd*
+  scripts/determinism_lint.py [--root DIR]   lint DIR/src/{core,render},
+                                             DIR/src/util/simd* and (D5)
+                                             DIR/src/{particles,field,util}
   scripts/determinism_lint.py --self-test    run against tests/lint_fixtures
 """
 
@@ -75,6 +84,12 @@ KERNEL_QUANTIZE = re.compile(
 # D4 looks a few lines DOWN as well: the fused samplers compute a lerp and
 # quantize the result on the following lines.
 D4_DOWN_LINES = 3
+# Rule D5: fused multiply-add in any form.
+FMA_USE = re.compile(
+    r"\b_mm\w*_fn?m(?:add|sub|addsub|subadd)_\w+"
+    r"|\bstd::fma[fl]?\b|(?<![\w:.])fma[fl]?\s*\("
+    r"|\btarget\s*\(\s*\"[^\"]*\bfma\b")
+FMA_DIRS = ("src/core", "src/render", "src/particles", "src/field", "src/util")
 
 
 class Violation:
@@ -154,6 +169,18 @@ def check_file(path: Path) -> list[Violation]:
     return violations
 
 
+def check_fma(path: Path) -> list[Violation]:
+    violations: list[Violation] = []
+    for idx, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+        if FMA_USE.search(strip_comments(line)):
+            violations.append(Violation(
+                "D5", path, idx + 1,
+                "fused multiply-add (intrinsic, std::fma or an fma target) — "
+                "it rounds once where the scalar expression rounds twice, so "
+                "lanes stop matching the scalar bits (no waiver)"))
+    return violations
+
+
 def lint_tree(root: Path) -> list[Violation]:
     files: list[Path] = []
     for sub in ("src/core", "src/render"):
@@ -168,6 +195,11 @@ def lint_tree(root: Path) -> list[Violation]:
     violations: list[Violation] = []
     for path in files:
         violations.extend(check_file(path))
+    for sub in FMA_DIRS:
+        base = root / sub
+        if base.is_dir():
+            for path in sorted(base.rglob("*.hpp")) + sorted(base.rglob("*.cpp")):
+                violations.extend(check_fma(path))
     return violations
 
 
@@ -181,7 +213,7 @@ def self_test(root: Path) -> int:
         print("determinism_lint self-test FAILED: good_tree should be clean:")
         for v in good:
             print(f"  {v}")
-    expected = {"D1", "D2", "D3", "D4"}
+    expected = {"D1", "D2", "D3", "D4", "D5"}
     seen = {v.rule for v in bad}
     if seen != expected:
         ok = False

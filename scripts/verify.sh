@@ -44,7 +44,9 @@
 #                                    # tier available on this host (scalar,
 #                                    # then sse2/avx2 on x86-64) by setting
 #                                    # DCSN_SIMD, plus the cross-tier
-#                                    # byte-equality suite (test_simd). A
+#                                    # byte-equality suite (test_simd) and
+#                                    # the lane-march fuzz, which sets every
+#                                    # tier itself (test_spot_geometry). A
 #                                    # divergent tier means an intrinsic
 #                                    # kernel broke the lattice contract;
 #                                    # this is the quick pre-commit check
@@ -215,7 +217,7 @@ simd_tier_gate() {
 }
 simd_tiers_gates() {
   echo "== SIMD tier verification (determinism + golden per DCSN_SIMD tier) =="
-  run_gate "simd build" cmake --build "$BUILD_DIR" -j "$JOBS" --target test_determinism test_golden_frames test_simd
+  run_gate "simd build" cmake --build "$BUILD_DIR" -j "$JOBS" --target test_determinism test_golden_frames test_simd test_spot_geometry
   run_gate "goldens present" check_goldens
   run_gate "simd tier scalar" simd_tier_gate scalar
   case "$(uname -m)" in
@@ -233,6 +235,9 @@ simd_tiers_gates() {
   esac
   echo "-- cross-tier byte equality (test_simd)"
   run_gate "simd cross-tier equality" "$BUILD_DIR/tests/test_simd" --gtest_brief=1
+  echo "-- lane march vs scalar oracle on every tier (test_spot_geometry)"
+  run_gate "simd lane fuzz" "$BUILD_DIR/tests/test_spot_geometry" --gtest_brief=1 \
+    --gtest_filter='SpotGeometryLanes.*'
 }
 
 # The single-suite modes run only their own suite.

@@ -261,39 +261,43 @@ void DncSynthesizer::prepare_geometry_memo(std::size_t spot_count) {
   }
 }
 
-bool DncSynthesizer::generate_memoized(std::int64_t k, render::CommandBuffer& out,
-                                       Slot& slot, bool may_defer) const {
-  const SpotInstance& spot = spot_at(k);
+std::pair<DncSynthesizer::MemoEntry*, render::MeshVertex*> DncSynthesizer::memo_of(
+    std::int64_t k) const {
   const auto index = static_cast<std::size_t>(memo_slot_[static_cast<std::size_t>(k)]);
   const MemoBlock& block = memo_blocks_[index / memo_per_block_];
   const std::size_t at = index % memo_per_block_;
-  MemoEntry& entry = block.entries[at];
-  render::MeshVertex* stored = block.vertices.get() + at * memo_stride_;
+  return {&block.entries[at], block.vertices.get() + at * memo_stride_};
+}
 
-  std::uint8_t state = entry.state.load(std::memory_order_acquire);
+DncSynthesizer::MemoClaim DncSynthesizer::claim_memo(std::int64_t k,
+                                                     render::CommandBuffer& out,
+                                                     Slot& slot) const {
+  const auto [entry, stored] = memo_of(k);
+  std::uint8_t state = entry->state.load(std::memory_order_acquire);
   if (state == kMemoEmpty &&
-      entry.state.compare_exchange_strong(state, kMemoClaimed,
-                                          std::memory_order_acquire)) {
-    job_generator_->generate(spot, out);
-    const render::MeshHeader& mesh = out.meshes().back();
-    const auto vertices = out.vertices_of(mesh);
-    std::copy(vertices.begin(), vertices.end(), stored);
-    entry.intensity = mesh.intensity;
-    entry.cols = mesh.cols;
-    entry.rows = mesh.rows;
-    entry.state.store(kMemoReady, std::memory_order_release);
-    return true;
+      entry->state.compare_exchange_strong(state, kMemoClaimed,
+                                           std::memory_order_acquire)) {
+    return MemoClaim::kTrace;
   }
   if (state == kMemoReady) {
-    const auto vertices = out.add_mesh(entry.intensity, entry.cols, entry.rows);
+    const auto vertices = out.add_mesh(entry->intensity, entry->cols, entry->rows);
     std::copy_n(stored, vertices.size(), vertices.begin());
     slot.geometry_reused += 1;
-    return true;
+    return MemoClaim::kCopied;
   }
-  // Claimed and still being traced by another producer: never wait.
-  if (may_defer) return false;
-  job_generator_->generate(spot, out);
-  return true;
+  return MemoClaim::kBusy;
+}
+
+void DncSynthesizer::publish_memo(std::int64_t k, const render::CommandBuffer& out,
+                                  std::size_t mesh) const {
+  const auto [entry, stored] = memo_of(k);
+  const render::MeshHeader& header = out.meshes()[mesh];
+  const auto vertices = out.vertices_of(header);
+  std::copy(vertices.begin(), vertices.end(), stored);
+  entry->intensity = header.intensity;
+  entry->cols = header.cols;
+  entry->rows = header.rows;
+  entry->state.store(kMemoReady, std::memory_order_release);
 }
 
 void DncSynthesizer::assign_delta(const FramePlan* plan) {
@@ -1084,9 +1088,29 @@ render::CommandBuffer DncSynthesizer::generate_chunk(
   render::CommandBuffer buffer;
   buffer.reserve(static_cast<std::size_t>(range.size()),
                  static_cast<std::size_t>(synthesis_.vertices_per_spot()));
+  // Spots waiting for one lane-group trace, each with the global index it
+  // publishes its memo under (-1: none). Mesh order within a buffer never
+  // shows in a pixel: lattice-snapped contributions sum exactly in any
+  // order.
+  constexpr std::size_t kGroup = SpotGeometryGenerator::kGroupSpots;
+  std::array<const SpotInstance*, kGroup> pending;
+  std::array<std::int64_t, kGroup> publish;
+  std::size_t grouped = 0;
+  const auto flush = [&] {
+    const std::size_t first_mesh = buffer.mesh_count();
+    job_generator_->generate_group(std::span(pending.data(), grouped), buffer);
+    for (std::size_t i = 0; i < grouped; ++i) {
+      if (publish[i] >= 0) publish_memo(publish[i], buffer, first_mesh + i);
+    }
+    grouped = 0;
+  };
+  const auto trace = [&](std::int64_t k, bool publishes) {
+    pending[grouped] = &spot_at(k);
+    publish[grouped] = publishes ? k : -1;
+    if (++grouped == kGroup) flush();
+  };
   // Memoized spots another producer is still tracing, revisited after the
-  // rest of the chunk. Mesh order within a buffer never shows in a pixel:
-  // lattice-snapped contributions sum exactly in any order.
+  // rest of the chunk.
   std::array<std::int64_t, 64> deferred;
   std::size_t n_deferred = 0;
   const auto spot_count = static_cast<std::int64_t>(job_spots_.size());
@@ -1106,14 +1130,31 @@ render::CommandBuffer DncSynthesizer::generate_chunk(
     fault_point(FaultSite::kFieldSample, 0x6669656c64ULL ^ subkey);
     fault_predraw(FaultSite::kPipeSubmit, 0x7069706573ULL ^ subkey, submit_faults);
     if (memo_slot_.empty() || memo_slot_[static_cast<std::size_t>(k)] < 0) {
-      job_generator_->generate(spot_at(k), buffer);
-    } else if (!generate_memoized(k, buffer, slot, n_deferred < deferred.size())) {
-      deferred[n_deferred++] = k;
+      trace(k, false);
+      continue;
+    }
+    switch (claim_memo(k, buffer, slot)) {
+      case MemoClaim::kTrace:
+        trace(k, true);
+        break;
+      case MemoClaim::kCopied:
+        break;
+      case MemoClaim::kBusy:
+        if (n_deferred < deferred.size()) {
+          deferred[n_deferred++] = k;
+        } else {
+          trace(k, false);
+        }
+        break;
     }
   }
+  if (grouped > 0) flush();
+  // Still busy at the end of the chunk: never wait, trace a private copy.
   for (std::size_t i = 0; i < n_deferred; ++i) {
-    (void)generate_memoized(deferred[i], buffer, slot, /*may_defer=*/false);
+    const MemoClaim claim = claim_memo(deferred[i], buffer, slot);
+    if (claim != MemoClaim::kCopied) trace(deferred[i], claim == MemoClaim::kTrace);
   }
+  if (grouped > 0) flush();
   slot.genP_seconds += watch.seconds();
   if (!is_caller && runtime_->active_job_count() > 1) {
     // A pool worker generated this chunk while another session's frame was

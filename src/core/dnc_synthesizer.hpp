@@ -409,8 +409,9 @@ class DncSynthesizer {
   /// stores the mesh and marks it ready; producers for the spot's other
   /// tiles copy the vertices. A producer finding the slot claimed but not
   /// ready never waits: it moves on and comes back to the spot at the end
-  /// of its chunk, then copies or traces a private copy. The memo lives for
-  /// one frame's parallel phase.
+  /// of its chunk, then copies or traces a private copy. A claimed spot
+  /// joins its producer's next lane group and is published once that group
+  /// is traced. The memo lives for one frame's parallel phase.
   enum MemoState : std::uint8_t { kMemoEmpty, kMemoClaimed, kMemoReady };
   struct MemoEntry {
     std::atomic<std::uint8_t> state{kMemoEmpty};
@@ -449,7 +450,8 @@ class DncSynthesizer {
   /// One steal attempt on behalf of a master; returns true if the scan
   /// should restart (work was done or raced away).
   bool master_steal_once(Group& me, Slot& slot, bool is_caller);
-  /// Generates one chunk of spot geometry. Per spot it checks the
+  /// Generates one chunk of spot geometry, bent spots traced in lane groups
+  /// of SpotGeometryGenerator::kGroupSpots. Per spot it checks the
   /// kFieldSample fault site and pre-draws the spot's kPipeSubmit decision
   /// into `submit_faults` (applied later by submit_to_pipe): per-*spot*
   /// keys, not per-chunk, because chunk boundaries are not replay-stable —
@@ -543,12 +545,21 @@ class DncSynthesizer {
   /// staggers the active tiles' start points. Leaves the memo off (and
   /// every start at 0) when fewer than two tiles are active.
   void prepare_geometry_memo(std::size_t spot_count);
-  /// Appends spot `k`'s mesh to `out` through its memo slot: claims and
-  /// traces it, or copies a ready mesh. Returns false, appending nothing,
-  /// when another producer has claimed the slot and is still tracing and
-  /// `may_defer` is set; with `may_defer` clear it traces a private copy.
-  bool generate_memoized(std::int64_t k, render::CommandBuffer& out, Slot& slot,
-                         bool may_defer) const;
+  /// What claim_memo found in a spot's memo slot.
+  enum class MemoClaim {
+    kTrace,   ///< claimed: trace the spot, then publish_memo() its mesh
+    kCopied,  ///< ready: the stored mesh was appended to `out`
+    kBusy,    ///< another producer claimed it and is still tracing
+  };
+  /// Spot `k`'s memo slot: claims it, or appends its ready mesh to `out`,
+  /// or reports it busy (appending nothing).
+  MemoClaim claim_memo(std::int64_t k, render::CommandBuffer& out, Slot& slot) const;
+  /// Stores mesh `mesh` of `out` as claimed spot `k`'s memo and marks it
+  /// ready for the other producers.
+  void publish_memo(std::int64_t k, const render::CommandBuffer& out,
+                    std::size_t mesh) const;
+  /// Spot `k`'s memo entry and vertex storage.
+  [[nodiscard]] std::pair<MemoEntry*, render::MeshVertex*> memo_of(std::int64_t k) const;
   [[nodiscard]] std::int64_t global_index(const Group& group, std::int64_t local) const;
   /// Global index `k` names this frame's spot k, or for k >= spot count the
   /// plan's removed instance k - spot count.

@@ -72,9 +72,9 @@ struct PartialReduceJob final : Runtime::SharedJob {
         worked = true;
         buffer.clear();
         util::ThreadCpuStopwatch watch;
-        for (std::int64_t k = range.begin; k < range.end; ++k) {
-          generator.generate(spots[static_cast<std::size_t>(k)], buffer);
-        }
+        generator.generate_all(spots.subspan(static_cast<std::size_t>(range.begin),
+                                             static_cast<std::size_t>(range.size())),
+                               buffer);
         genP += watch.seconds();
         watch.restart();
         render::rasterize_buffer(target, buffer, profile,
@@ -175,7 +175,7 @@ SerialStats SerialSynthesizer::synthesize(const field::VectorField& f,
       buffer.clear();
       {
         const util::ScopedTimer t(genP);
-        for (std::size_t k = begin; k < end; ++k) generator.generate(spots[k], buffer);
+        generator.generate_all(spots.subspan(begin, end - begin), buffer);
       }
       {
         const util::ScopedTimer t(genT);

@@ -24,7 +24,12 @@ SpotGeometryGenerator::SpotGeometryGenerator(const SynthesisConfig& config,
   DCSN_CHECK(config.spot_radius_px > 0.0, "spot radius must be positive");
   DCSN_CHECK(config.bent.mesh_cols >= 2 && config.bent.mesh_rows >= 2,
              "bent spot mesh needs at least 2x2 vertices");
-  DCSN_CHECK(config.bent.trace_substeps >= 1, "trace substeps must be >= 1");
+  DCSN_CHECK(config.bent.mesh_cols <= BentSpotParams::kMaxMeshCols &&
+                 config.bent.mesh_rows <= BentSpotParams::kMaxMeshRows,
+             "bent spot mesh exceeds the supported maximum of 256x64 vertices");
+  DCSN_CHECK(config.bent.trace_substeps >= 1 &&
+                 config.bent.trace_substeps <= BentSpotParams::kMaxTraceSubsteps,
+             "trace substeps must be within [1, 1024]");
 
   const field::Rect view = config.window.value_or(f.domain());
   world_per_px_ = 0.5 * (view.width() / config.texture_width +
@@ -44,16 +49,34 @@ SpotGeometryGenerator::SpotGeometryGenerator(const SynthesisConfig& config,
 
 void SpotGeometryGenerator::generate(const SpotInstance& spot,
                                      render::CommandBuffer& out) const {
+  const SpotInstance* const group[] = {&spot};
+  generate_group(group, out);
+}
+
+void SpotGeometryGenerator::generate_group(std::span<const SpotInstance* const> group,
+                                           render::CommandBuffer& out) const {
+  DCSN_CHECK(group.size() <= static_cast<std::size_t>(kGroupSpots),
+             "a spot group holds at most four spots");
   switch (config_.kind) {
     case SpotKind::kPoint:
-      generate_point(spot, out);
+      for (const SpotInstance* spot : group) generate_point(*spot, out);
       return;
     case SpotKind::kEllipse:
-      generate_ellipse(spot, out);
+      for (const SpotInstance* spot : group) generate_ellipse(*spot, out);
       return;
     case SpotKind::kBent:
-      generate_bent(spot, out);
+      generate_bent(group, out);
       return;
+  }
+}
+
+void SpotGeometryGenerator::generate_all(std::span<const SpotInstance> spots,
+                                         render::CommandBuffer& out) const {
+  std::array<const SpotInstance*, kGroupSpots> group;
+  for (std::size_t first = 0; first < spots.size(); first += group.size()) {
+    const std::size_t count = std::min(group.size(), spots.size() - first);
+    for (std::size_t i = 0; i < count; ++i) group[i] = &spots[first + i];
+    generate_group(std::span(group.data(), count), out);
   }
 }
 
@@ -128,34 +151,40 @@ void SpotGeometryGenerator::generate_ellipse(const SpotInstance& spot,
   put(verts[3], center + ea + eb, 1.0f, 1.0f);
 }
 
-void SpotGeometryGenerator::generate_bent(const SpotInstance& spot,
+void SpotGeometryGenerator::generate_bent(std::span<const SpotInstance* const> group,
                                           render::CommandBuffer& out) const {
   const int cols = config_.bent.mesh_cols;
   const int rows = config_.bent.mesh_rows;
   const int substeps = config_.bent.trace_substeps;
 
-  // Plain doubles, no member initializers: the 256-entry array is written
-  // before it is read, and zero-filling its 8 KiB per spot would cost more
+  // Plain doubles, no member initializers: the 256-entry arrays are written
+  // before they are read, and zero-filling 8 KiB per spot would cost more
   // than tracing a short spine.
   struct SpinePoint {
     double x, y;    ///< position, texture pixels
     double nx, ny;  ///< unit normal, texture pixels
   };
-  std::array<SpinePoint, 256> spine;
-  DCSN_CHECK(cols <= static_cast<int>(spine.size()),
-             "bent spot mesh_cols exceeds the supported maximum of 256");
+  struct Spine {
+    std::array<SpinePoint, BentSpotParams::kMaxMeshCols> points;
+    int first, last;  ///< the slots the march reached
+  };
+  std::array<Spine, kGroupSpots> spines;
+  std::array<field::Vec2, kGroupSpots> seeds;
   // Trace half the spine upstream, half downstream, at substep resolution,
-  // straight into the spine array. Every substeps-th point (counted from
+  // straight into the spine arrays. Every substeps-th point (counted from
   // the seed) becomes a spine vertex — the rest only improved accuracy —
-  // at slot bwd_segments + k / substeps, so the spine runs upstream -> seed
-  // -> downstream over the slots [first, last] the march reached.
+  // at slot bwd_segments + k / substeps, so a spine runs upstream -> seed
+  // -> downstream over the slots [first, last] its march reached.
   const int fwd_segments = (cols - 1) / 2;
   const int bwd_segments = (cols - 1) - fwd_segments;
-  int first = bwd_segments;
-  int last = bwd_segments;
-  tracer_.march(*field_, spot.position, fwd_segments * substeps, bwd_segments * substeps,
-                [&](int k, field::Vec2 p, field::Vec2 t) {
-                  if (k % substeps != 0) return;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    seeds[i] = group[i]->position;
+    spines[i].first = spines[i].last = bwd_segments;
+  }
+  tracer_.march(*field_, std::span(seeds.data(), group.size()), fwd_segments * substeps,
+                bwd_segments * substeps, substeps,
+                [&](int i, int k, field::Vec2 p, field::Vec2 t) {
+                  Spine& spine = spines[static_cast<std::size_t>(i)];
                   const int slot = bwd_segments + k / substeps;
                   const auto [px, py] = mapping_.map(p);
                   const field::Vec2 tangent_px = map_direction(t);
@@ -163,32 +192,36 @@ void SpotGeometryGenerator::generate_bent(const SpotInstance& spot,
                   const field::Vec2 normal = len > kMinDirection
                                                  ? tangent_px.perp() / len
                                                  : field::Vec2{0.0, 1.0};
-                  spine[static_cast<std::size_t>(slot)] = {px, py, normal.x, normal.y};
-                  first = std::min(first, slot);
-                  last = std::max(last, slot);
+                  spine.points[static_cast<std::size_t>(slot)] = {px, py, normal.x,
+                                                                  normal.y};
+                  spine.first = std::min(spine.first, slot);
+                  spine.last = std::max(spine.last, slot);
                 });
-  const int spine_count = last - first + 1;
-
-  if (spine_count < 2) {
-    // Stagnation or immediate domain exit: degrade to an untransformed spot.
-    generate_point(spot, out);
-    return;
-  }
 
   const double width_px = 2.0 * config_.spot_radius_px;
-  const auto intensity =
-      static_cast<float>(spot.intensity * config_.intensity_scale);
-  auto verts = out.add_mesh(intensity, spine_count, rows);
-  for (int j = 0; j < rows; ++j) {
-    const double across = (static_cast<double>(j) / (rows - 1) - 0.5) * width_px;
-    const auto v_coord = static_cast<float>(j) / static_cast<float>(rows - 1);
-    for (int i = 0; i < spine_count; ++i) {
-      const SpinePoint& sp = spine[static_cast<std::size_t>(first + i)];
-      const auto u_coord = static_cast<float>(i) / static_cast<float>(spine_count - 1);
-      verts[static_cast<std::size_t>(j) * static_cast<std::size_t>(spine_count) +
-            static_cast<std::size_t>(i)] = {static_cast<float>(sp.x + sp.nx * across),
-                                            static_cast<float>(sp.y + sp.ny * across),
-                                            u_coord, v_coord};
+  for (std::size_t s = 0; s < group.size(); ++s) {
+    const SpotInstance& spot = *group[s];
+    const Spine& spine = spines[s];
+    const int spine_count = spine.last - spine.first + 1;
+    if (spine_count < 2) {
+      // Stagnation or immediate domain exit: degrade to an untransformed spot.
+      generate_point(spot, out);
+      continue;
+    }
+    const auto intensity =
+        static_cast<float>(spot.intensity * config_.intensity_scale);
+    auto verts = out.add_mesh(intensity, spine_count, rows);
+    for (int j = 0; j < rows; ++j) {
+      const double across = (static_cast<double>(j) / (rows - 1) - 0.5) * width_px;
+      const auto v_coord = static_cast<float>(j) / static_cast<float>(rows - 1);
+      for (int i = 0; i < spine_count; ++i) {
+        const SpinePoint& sp = spine.points[static_cast<std::size_t>(spine.first + i)];
+        const auto u_coord = static_cast<float>(i) / static_cast<float>(spine_count - 1);
+        verts[static_cast<std::size_t>(j) * static_cast<std::size_t>(spine_count) +
+              static_cast<std::size_t>(i)] = {static_cast<float>(sp.x + sp.nx * across),
+                                              static_cast<float>(sp.y + sp.ny * across),
+                                              u_coord, v_coord};
+      }
     }
   }
 }

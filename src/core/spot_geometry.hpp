@@ -12,6 +12,8 @@
 //                position, mesh_cols vertices long, mesh_rows wide.
 #pragma once
 
+#include <span>
+
 #include "core/spot_params.hpp"
 #include "core/spot_source.hpp"
 #include "field/vector_field.hpp"
@@ -26,11 +28,23 @@ class SpotGeometryGenerator {
   /// `field` and the returned generator must outlive generate() calls.
   SpotGeometryGenerator(const SynthesisConfig& config, const field::VectorField& f);
 
-  /// Appends one spot's mesh to `out`. Thread-safe: const and allocation-free
-  /// apart from growing `out` (so none at all into a CommandBuffer reserved
-  /// for the spots). A bent spot traces its spine with tracer().march()
-  /// straight into a fixed array — the same points trace() would return.
+  /// Spots one generate_group() call traces as one lane group.
+  static constexpr int kGroupSpots = particles::StreamlineTracer::kGroupSeeds;
+
+  /// Appends one spot's mesh to `out`: generate_group() of that one spot.
   void generate(const SpotInstance& spot, render::CommandBuffer& out) const;
+
+  /// Appends one mesh per spot of `group` (at most kGroupSpots), in order,
+  /// each the bytes generate() appends for that spot. Thread-safe: const and
+  /// allocation-free apart from growing `out` (so none at all into a
+  /// CommandBuffer reserved for the spots). Bent spots trace their spines
+  /// together with one tracer().march() into fixed arrays — the same points
+  /// trace() would return, on every SIMD tier.
+  void generate_group(std::span<const SpotInstance* const> group,
+                      render::CommandBuffer& out) const;
+
+  /// generate() for every spot of `spots`, in order, kGroupSpots at a time.
+  void generate_all(std::span<const SpotInstance> spots, render::CommandBuffer& out) const;
 
   /// The bent-spot spine tracer: RK4 at a fixed arc length per substep.
   [[nodiscard]] const particles::StreamlineTracer& tracer() const { return tracer_; }
@@ -45,7 +59,8 @@ class SpotGeometryGenerator {
  private:
   void generate_point(const SpotInstance& spot, render::CommandBuffer& out) const;
   void generate_ellipse(const SpotInstance& spot, render::CommandBuffer& out) const;
-  void generate_bent(const SpotInstance& spot, render::CommandBuffer& out) const;
+  void generate_bent(std::span<const SpotInstance* const> group,
+                     render::CommandBuffer& out) const;
 
   /// Maps a world direction through the linear part of the world->pixel map.
   [[nodiscard]] field::Vec2 map_direction(field::Vec2 d) const;

@@ -29,6 +29,14 @@ struct EllipseSpotParams {
 /// by a streamline through the spot position (paper §2). The atmospheric
 /// application used 32x17 meshes, the DNS application 16x3.
 struct BentSpotParams {
+  /// Upper bounds, checked by SpotGeometryGenerator and by the wire decoder
+  /// (net::OpenSessionMsg). mesh_cols is the generator's fixed spine array;
+  /// mesh_rows bounds the vertices a spot may cost; trace_substeps keeps
+  /// (mesh_cols - 1) * trace_substeps, the steps of one spine, inside int.
+  static constexpr int kMaxMeshCols = 256;
+  static constexpr int kMaxMeshRows = 64;
+  static constexpr int kMaxTraceSubsteps = 1024;
+
   int mesh_cols = 16;        ///< vertices along the streamline
   int mesh_rows = 3;         ///< vertices across the ribbon
   double length_px = 48.0;   ///< total arc length in texture pixels

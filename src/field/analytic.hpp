@@ -1,5 +1,12 @@
 // Analytic vector fields: ground truth for tests and the figure scenarios.
 //
+// Each factory returns a concrete field class (field/analytic.cpp). The ones
+// whose velocity needs only + - * / and sqrt — uniform, shear, rigid vortex,
+// Rankine, saddle, separation — write it once as a template over the lane
+// type, so sample() and the four-lane sample_lanes() of every SIMD tier run
+// the same expression. Double gyre and Taylor-Green call sin/cos, which have
+// no bit-identical vector form, and keep the default sample_lanes() loop.
+//
 // The separation-topology field substitutes for the paper's 3D block
 // skin-friction data in figure 2 (see DESIGN.md §2): the figure's point is
 // that advected spot positions reveal a separation line, which only needs a
@@ -13,7 +20,10 @@
 
 namespace dcsn::field {
 
-/// Wraps any callable Vec2(Vec2) as a VectorField.
+/// Wraps any callable Vec2(Vec2) as a VectorField: the test and bench way to
+/// build an ad-hoc field. It keeps the default sample_lanes() loop, one
+/// std::function call per lane; the built-in fields below are concrete
+/// classes instead.
 class CallableField final : public VectorField {
  public:
   using Fn = std::function<Vec2(Vec2)>;

@@ -74,9 +74,25 @@ void encode_synthesis(WireWriter& w, const core::SynthesisConfig& c) {
   c.bent.mesh_rows = r.i32();
   c.bent.length_px = r.f64();
   c.bent.trace_substeps = r.i32();
+  // The generator's own limits, checked before any session exists: past
+  // them the spine array overflows, (mesh_cols - 1) * trace_substeps
+  // overflows int, or a spot's vertices or the profile table grow without
+  // bound.
+  using Bent = core::BentSpotParams;
+  if (c.bent.mesh_cols < 2 || c.bent.mesh_cols > Bent::kMaxMeshCols ||
+      c.bent.mesh_rows < 2 || c.bent.mesh_rows > Bent::kMaxMeshRows) {
+    throw ProtocolError("bent spot mesh outside [2, 256] x [2, 64] vertices");
+  }
+  if (c.bent.trace_substeps < 1 || c.bent.trace_substeps > Bent::kMaxTraceSubsteps) {
+    throw ProtocolError("trace substeps outside [1, 1024]");
+  }
   c.profile_shape = static_cast<render::SpotShape>(checked_u8_enum(
       r.u8(), static_cast<std::uint8_t>(render::SpotShape::kRing), "SpotShape"));
   c.profile_resolution = r.i32();
+  if (c.profile_resolution < 2 ||
+      c.profile_resolution > render::SpotProfile::kMaxResolution) {
+    throw ProtocolError("profile resolution outside [2, 1024]");
+  }
   c.intensity_scale = r.f64();
   if (r.u8() != 0) c.window = decode_rect(r);
   c.seed = r.u64();

@@ -27,8 +27,10 @@
 // Defensive decoding: WireReader bounds-checks every get, read_message()
 // rejects bad magic, oversized declared lengths (kMaxPayloadBytes) and
 // mid-message EOF with ProtocolError, and OpenSessionMsg::decode rejects a
-// session larger than kMaxSessionThreads or kMaxPayloadBytes allow — the
-// torture suite in tests/test_net.cpp feeds exactly those corruptions.
+// session larger than kMaxSessionThreads or kMaxPayloadBytes allow, or
+// whose bent mesh, trace substeps or profile resolution fall outside the
+// limits core::BentSpotParams and render::SpotProfile set — the torture
+// suite in tests/test_net.cpp feeds exactly those corruptions.
 #pragma once
 
 #include <bit>

@@ -16,8 +16,8 @@ enum class Integrator { kEuler, kRk2, kRk4 };
 /// caller already holds — a streamline tracer samples p anyway for its
 /// stagnation check and tangent, so handing k1 in saves a field sample per
 /// step. `Field` is anything with a `V sample(V) const`, and `V` anything
-/// with `V + V` and `V * double` (a field::Vec2, or several stepped in
-/// lockstep).
+/// with `V + V` and `V * double` (a field::Vec2, or StreamlineTracer's lane
+/// group of eight Vec2 lanes stepped together).
 template <class Field, class V>
 [[nodiscard]] inline V step_from(const Field& f, V p, V k1, double dt,
                                  Integrator method) {

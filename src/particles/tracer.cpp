@@ -17,8 +17,8 @@ Streamline StreamlineTracer::trace(const field::VectorField& f, field::Vec2 seed
   line.tangents.resize(size);
   int first = back;
   int last = back;
-  march(f, seed, steps_forward, steps_backward,
-        [&](int k, field::Vec2 point, field::Vec2 tangent) {
+  march(f, std::span(&seed, 1), steps_forward, steps_backward, 1,
+        [&](int, int k, field::Vec2 point, field::Vec2 tangent) {
           const int slot = back + k;
           line.points[static_cast<std::size_t>(slot)] = point;
           line.tangents[static_cast<std::size_t>(slot)] = tangent;

@@ -37,7 +37,8 @@ float shape_value(SpotShape shape, float r) {
 
 SpotProfile::SpotProfile(SpotShape shape, int resolution)
     : shape_(shape), res_(resolution), stride_(padded_stride(resolution)) {
-  DCSN_CHECK(resolution >= 2, "profile resolution must be at least 2");
+  DCSN_CHECK(resolution >= 2 && resolution <= kMaxResolution,
+             "profile resolution must be within [2, 1024]");
   // One duplicated row and column let the bilinear samplers fetch the +1
   // neighbour unconditionally; the row stride is additionally padded to a
   // cache-line multiple (padded_stride) for the vectorized gathers. Pad

@@ -25,10 +25,16 @@ enum class SpotShape {
 
 class SpotProfile {
  public:
-  /// Builds a `resolution`-squared table of the given shape. The profile's
-  /// support is the inscribed circle of the unit square; integral over the
-  /// square is normalized to a shape-independent constant so textures built
-  /// from different shapes have comparable energy.
+  /// Largest table side: 1024^2 floats are 4 MiB. The wire decoder
+  /// (net::OpenSessionMsg) rejects larger resolutions before any table is
+  /// built.
+  static constexpr int kMaxResolution = 1024;
+
+  /// Builds a `resolution`-squared table of the given shape, 2 <= resolution
+  /// <= kMaxResolution. The profile's support is the inscribed circle of the
+  /// unit square; integral over the square is normalized to a
+  /// shape-independent constant so textures built from different shapes
+  /// have comparable energy.
   SpotProfile(SpotShape shape, int resolution = 64);
 
   /// Bilinear sample at (u, v) in [0,1]^2; zero outside. The guard is

@@ -300,6 +300,58 @@ TEST(NetProtocol, OpenSessionRejectsTextureLargerThanAPayload) {
   expect_open_session_rejected(msg);
 }
 
+// Decodes `msg` and returns its synthesis config (the decoder accepted it).
+core::SynthesisConfig decoded_synthesis(const net::OpenSessionMsg& msg) {
+  const auto payload = msg.encode();
+  WireReader r(payload);
+  return net::OpenSessionMsg::decode(r).synthesis;
+}
+
+TEST(NetProtocol, OpenSessionRejectsBentMeshBeyondLimits) {
+  // mesh_cols is the generator's 256-entry spine array; past it every frame
+  // of the session would fail. mesh_rows bounds a spot's vertices.
+  using Bent = core::BentSpotParams;
+  net::OpenSessionMsg msg = small_session();
+  msg.synthesis.bent.mesh_cols = Bent::kMaxMeshCols;
+  EXPECT_EQ(decoded_synthesis(msg).bent.mesh_cols, Bent::kMaxMeshCols);
+  msg.synthesis.bent.mesh_cols = Bent::kMaxMeshCols + 1;
+  expect_open_session_rejected(msg);
+  msg.synthesis.bent.mesh_cols = 1;
+  expect_open_session_rejected(msg);
+  msg = small_session();
+  msg.synthesis.bent.mesh_rows = Bent::kMaxMeshRows;
+  EXPECT_EQ(decoded_synthesis(msg).bent.mesh_rows, Bent::kMaxMeshRows);
+  msg.synthesis.bent.mesh_rows = Bent::kMaxMeshRows + 1;
+  expect_open_session_rejected(msg);
+  msg.synthesis.bent.mesh_rows = std::numeric_limits<std::int32_t>::min();
+  expect_open_session_rejected(msg);
+}
+
+TEST(NetProtocol, OpenSessionRejectsTraceSubstepsBeyondLimit) {
+  // Near INT_MAX, (mesh_cols - 1) * trace_substeps would overflow int.
+  using Bent = core::BentSpotParams;
+  net::OpenSessionMsg msg = small_session();
+  msg.synthesis.bent.trace_substeps = Bent::kMaxTraceSubsteps;
+  EXPECT_EQ(decoded_synthesis(msg).bent.trace_substeps, Bent::kMaxTraceSubsteps);
+  msg.synthesis.bent.trace_substeps = Bent::kMaxTraceSubsteps + 1;
+  expect_open_session_rejected(msg);
+  msg.synthesis.bent.trace_substeps = std::numeric_limits<std::int32_t>::max();
+  expect_open_session_rejected(msg);
+  msg.synthesis.bent.trace_substeps = 0;
+  expect_open_session_rejected(msg);
+}
+
+TEST(NetProtocol, OpenSessionRejectsProfileResolutionBeyondLimit) {
+  net::OpenSessionMsg msg = small_session();
+  msg.synthesis.profile_resolution = render::SpotProfile::kMaxResolution;
+  EXPECT_EQ(decoded_synthesis(msg).profile_resolution,
+            render::SpotProfile::kMaxResolution);
+  msg.synthesis.profile_resolution = render::SpotProfile::kMaxResolution + 1;
+  expect_open_session_rejected(msg);
+  msg.synthesis.profile_resolution = 1;
+  expect_open_session_rejected(msg);
+}
+
 TEST(NetProtocol, SubmitRoundTripsSpotsBitExact) {
   net::SubmitMsg msg;
   msg.client_tag = 77;
@@ -1039,6 +1091,35 @@ TEST(NetLoopback, ServerRejectsOversizedSessionWithError) {
   EXPECT_FALSE(net::read_message(raw, &type, &payload));
   EXPECT_TRUE(server.service().health().sessions.empty());
   server.stop();
+}
+
+TEST(NetLoopback, ServerRejectsHostileBentSessionWithError) {
+  // A well-formed OpenSession whose trace substeps would overflow the
+  // spine's step count: rejected at decode, before any session exists.
+  using Hostile = void (*)(core::SynthesisConfig&);
+  const Hostile hostiles[] = {
+      [](core::SynthesisConfig& c) {
+        c.bent.trace_substeps = std::numeric_limits<std::int32_t>::max();
+      },
+      [](core::SynthesisConfig& c) { c.bent.mesh_cols = 257; },
+      [](core::SynthesisConfig& c) { c.profile_resolution = 1 << 30; },
+  };
+  for (const Hostile hostile : hostiles) {
+    FrameServer server(loopback_options());
+    auto [raw, server_end] = Socket::pair();
+    server.adopt(std::move(server_end));
+    net::OpenSessionMsg msg = small_session();
+    hostile(msg.synthesis);
+    net::send_message(raw, MsgType::kOpenSession, msg.encode());
+
+    MsgType type{};
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(net::read_message(raw, &type, &payload));
+    EXPECT_EQ(type, MsgType::kError);
+    EXPECT_FALSE(net::read_message(raw, &type, &payload));
+    EXPECT_TRUE(server.service().health().sessions.empty());
+    server.stop();
+  }
 }
 
 TEST(NetLoopback, ServerSurvivesAbruptClientDisconnect) {
