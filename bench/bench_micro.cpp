@@ -196,8 +196,7 @@ void BM_RasterizeQuad(benchmark::State& state) {
   v[3] = {100.0f + size, 100.0f + size, 1.0f, 1.0f};
   render::RasterStats stats;
   for (auto _ : state) {
-    render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile,
-                             render::BlendMode::kAdditive, stats);
+    render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile, stats);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -218,8 +217,7 @@ void BM_RasterizeBentMesh(benchmark::State& state) {
           static_cast<float>(i) / (cols - 1), static_cast<float>(j) / (rows - 1)};
   render::RasterStats stats;
   for (auto _ : state) {
-    render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile,
-                             render::BlendMode::kAdditive, stats);
+    render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile, stats);
   }
   state.SetItemsProcessed(state.iterations() * (cols - 1) * (rows - 1));
 }
@@ -294,9 +292,9 @@ void BM_HighPass(benchmark::State& state) {
 BENCHMARK(BM_HighPass);
 
 // ------------------------------------------------------- simd kernels ---
-// Every dispatched kernel at every tier the host can run (arg 0 = tier:
+// Both dispatched kernels at every tier the host can run (arg 0 = tier:
 // 0 scalar, 1 sse2, 2 avx2; unavailable tiers skip). Items are
-// lanes (fragments for the samplers), so rates compare across tiers.
+// lanes (fragments for the sampler), so rates compare across tiers.
 
 constexpr std::size_t kSimdLanes = 4096;
 
@@ -331,68 +329,9 @@ void BM_SimdAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdAdd)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
-void BM_SimdAddScaled(benchmark::State& state) {
-  util::simd::Tier tier;
-  if (!simd_tier_or_skip(state, tier)) return;
-  const auto& k = util::simd::kernels_for(tier);
-  auto dst = simd_bench_buffer(kSimdLanes, 23);
-  const auto src = simd_bench_buffer(kSimdLanes, 24);
-  for (auto _ : state) {
-    k.add_scaled(dst.data(), src.data(), 0.37f, dst.size());
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSimdLanes));
-}
-BENCHMARK(BM_SimdAddScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
-
-void BM_SimdMaxScaled(benchmark::State& state) {
-  util::simd::Tier tier;
-  if (!simd_tier_or_skip(state, tier)) return;
-  const auto& k = util::simd::kernels_for(tier);
-  auto dst = simd_bench_buffer(kSimdLanes, 25);
-  const auto src = simd_bench_buffer(kSimdLanes, 26);
-  for (auto _ : state) {
-    k.max_scaled(dst.data(), src.data(), 0.61f, dst.size());
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSimdLanes));
-}
-BENCHMARK(BM_SimdMaxScaled)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
-
-void BM_SimdMaxWith(benchmark::State& state) {
-  util::simd::Tier tier;
-  if (!simd_tier_or_skip(state, tier)) return;
-  const auto& k = util::simd::kernels_for(tier);
-  auto dst = simd_bench_buffer(kSimdLanes, 27);
-  for (auto _ : state) {
-    k.max_with(dst.data(), 0.1f, dst.size());
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSimdLanes));
-}
-BENCHMARK(BM_SimdMaxWith)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
-
-void BM_SimdQuantizeSpan(benchmark::State& state) {
-  util::simd::Tier tier;
-  if (!simd_tier_or_skip(state, tier)) return;
-  const auto& k = util::simd::kernels_for(tier);
-  auto dst = simd_bench_buffer(kSimdLanes, 28);
-  const auto src = simd_bench_buffer(kSimdLanes, 29);
-  for (auto _ : state) {
-    k.quantize_span(dst.data(), src.data(), dst.size());
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSimdLanes));
-}
-BENCHMARK(BM_SimdQuantizeSpan)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
-
-// The fused span sampler over a synthetic profile table: a diagonal 32.32
-// walk, single spans of 24 fragments, and the batched form over 64 spans of
-// 6 fragments (the short-span regime the batch packing targets).
+// The batched span sampler over a synthetic profile table: a diagonal 32.32
+// walk, 64 spans of 6 fragments (the short-span regime the batch packing
+// targets).
 constexpr std::size_t kSimdTableStride = 80;
 constexpr std::size_t kSimdTableRows = 66;
 
@@ -408,23 +347,6 @@ util::simd::SampleSpan simd_bench_span(const std::vector<float>& table,
   s.weight = 0.43f;
   return s;
 }
-
-void BM_SimdSampleRow(benchmark::State& state) {
-  util::simd::Tier tier;
-  if (!simd_tier_or_skip(state, tier)) return;
-  const auto& k = util::simd::kernels_for(tier);
-  const auto table =
-      simd_bench_buffer(kSimdTableStride * kSimdTableRows, 30);
-  const auto span = simd_bench_span(table, 1);
-  constexpr std::size_t kLen = 24;
-  std::vector<float> dst(kLen);
-  for (auto _ : state) {
-    k.sample_row_add(dst.data(), span, kLen);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kLen));
-}
-BENCHMARK(BM_SimdSampleRow)->ArgName("tier")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdSampleRowsBatch(benchmark::State& state) {
   util::simd::Tier tier;

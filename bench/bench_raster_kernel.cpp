@@ -7,13 +7,13 @@
 //
 //   1. proves equivalence: identical pixel coverage (exact framebuffer
 //      match on a constant-texel clone of the geometry) and per-pixel
-//      values within 1e-5 under both blend modes;
+//      values within 1e-5;
 //   2. measures fragment throughput of kSpan vs kReference over repeated
 //      rasterization (thread-CPU clock, stable on loaded 1-core CI hosts);
 //   3. ablates the runtime SIMD dispatch tiers (ISSUE 10): the workload's
-//      own blend spans are captured and replayed through each tier's fused
-//      sample_row kernel, isolating the kernel from triangle setup (which
-//      Amdahl-limits any end-to-end tier ratio);
+//      own blend spans are captured and replayed through each tier's
+//      batched sample_rows_add kernel, isolating the kernel from triangle
+//      setup (which Amdahl-limits any end-to-end tier ratio);
 //   4. splits one span pass into blend kernel (the captured spans replayed
 //      through the dispatched tier) and setup (the rest of the pass);
 //   5. repeats equivalence, throughput and that split on the small-triangle
@@ -21,8 +21,8 @@
 //      triangle, where per-triangle setup sets the cost (small.* keys), and
 //      reports the share of its triangles the 8-lane row solve handles
 //      (small.narrow_share);
-//   6. runs the whole DnC engine once per algorithm and reports the
-//      eq. 3.2 modeled frame seconds;
+//   6. runs the whole DnC engine (which always rasterizes with kSpan) once
+//      and reports its eq. 3.2 modeled frame seconds;
 //   7. gates: span must reach >= 2.0x reference throughput (1.5x with
 //      --smoke, whose workload is too small to amortize setup), coverage
 //      and values must match kReference on both workloads, AND — when
@@ -174,12 +174,10 @@ RibbonWorkload make_small_workload(bool smoke) {
 
 render::RasterStats rasterize_once(const RibbonWorkload& r, render::Framebuffer& fb,
                                    render::RasterAlgorithm algo,
-                                   render::BlendMode mode,
                                    const render::CommandBuffer& buffer) {
   render::RasterStats stats;
   fb.clear();
-  render::rasterize_buffer({fb.pixels(), 0, 0, algo}, buffer, *r.profile,
-                           mode, stats);
+  render::rasterize_buffer({fb.pixels(), 0, 0, algo}, buffer, *r.profile, stats);
   return stats;
 }
 
@@ -235,8 +233,7 @@ SpanWorkload capture_spans(const RibbonWorkload& r, render::Framebuffer& fb) {
                               const render::MeshVertex& b,
                               const render::MeshVertex& c) {
     const std::size_t first = runs.size();
-    render::rasterize_triangle(target, a, b, c, 1.0f, *r.profile,
-                               render::BlendMode::kAdditive, stats);
+    render::rasterize_triangle(target, a, b, c, 1.0f, *r.profile, stats);
     // Scan only the triangle's bbox rows, zeroing the runs found so the
     // scratch target is clean for the next triangle.
     const int y0 = std::max(
@@ -362,13 +359,12 @@ KernelRate measure_kernel(const RibbonWorkload& r, render::Framebuffer& fb,
                           render::RasterAlgorithm algo, double min_seconds) {
   // One warm-up pass, then repeat whole-buffer rasterizations until the
   // thread-CPU clock has accumulated a stable measurement.
-  (void)rasterize_once(r, fb, algo, render::BlendMode::kAdditive, r.geometry);
+  (void)rasterize_once(r, fb, algo, r.geometry);
   KernelRate rate;
   std::int64_t reps = 0;
   const util::ThreadCpuStopwatch watch;
   do {
-    rate.stats = rasterize_once(r, fb, algo, render::BlendMode::kAdditive,
-                                r.geometry);
+    rate.stats = rasterize_once(r, fb, algo, r.geometry);
     ++reps;
     rate.seconds = watch.seconds();
   } while (rate.seconds < min_seconds);
@@ -379,32 +375,24 @@ KernelRate measure_kernel(const RibbonWorkload& r, render::Framebuffer& fb,
 }
 
 // Span-vs-reference equivalence on one workload: exact coverage on the
-// constant-texel clone, values within `value_gate` under both blend modes.
+// constant-texel clone, values within `value_gate`.
 struct Equivalence {
   bool coverage_identical = false;
-  float additive_dev = 0.0f;
-  float maximum_dev = 0.0f;
+  float value_dev = 0.0f;
   bool pass = false;
 };
 
 Equivalence check_equivalence(const RibbonWorkload& r, render::Framebuffer& fb,
                               render::Framebuffer& other) {
   Equivalence eq;
-  const auto ref_stats = rasterize_once(r, fb, render::RasterAlgorithm::kReference,
-                                        render::BlendMode::kAdditive, r.geometry);
-  const auto span_stats = rasterize_once(r, other, render::RasterAlgorithm::kSpan,
-                                         render::BlendMode::kAdditive, r.geometry);
-  eq.additive_dev = fb.max_abs_diff(other);
-  (void)rasterize_once(r, fb, render::RasterAlgorithm::kReference,
-                       render::BlendMode::kMaximum, r.geometry);
-  (void)rasterize_once(r, other, render::RasterAlgorithm::kSpan,
-                       render::BlendMode::kMaximum, r.geometry);
-  eq.maximum_dev = fb.max_abs_diff(other);
+  const auto ref_stats =
+      rasterize_once(r, fb, render::RasterAlgorithm::kReference, r.geometry);
+  const auto span_stats =
+      rasterize_once(r, other, render::RasterAlgorithm::kSpan, r.geometry);
+  eq.value_dev = fb.max_abs_diff(other);
 
-  (void)rasterize_once(r, fb, render::RasterAlgorithm::kReference,
-                       render::BlendMode::kAdditive, r.coverage);
-  (void)rasterize_once(r, other, render::RasterAlgorithm::kSpan,
-                       render::BlendMode::kAdditive, r.coverage);
+  (void)rasterize_once(r, fb, render::RasterAlgorithm::kReference, r.coverage);
+  (void)rasterize_once(r, other, render::RasterAlgorithm::kSpan, r.coverage);
   eq.coverage_identical = fb == other && ref_stats.fragments == span_stats.fragments;
 
   // Value tolerance: the kernels' UV evaluation differs by design (~1e-5,
@@ -412,11 +400,9 @@ Equivalence check_equivalence(const RibbonWorkload& r, render::Framebuffer& fb,
   // contribution lattice, which can separate the results by up to two
   // quanta (util/simd.hpp).
   const float value_gate = 1e-5f + 2.0f * util::simd::kContributionQuantum;
-  eq.pass = eq.coverage_identical && eq.additive_dev <= value_gate &&
-            eq.maximum_dev <= value_gate;
-  std::printf("  equivalence: coverage %s, max deviation additive %.2e / max %.2e\n",
-              eq.coverage_identical ? "identical" : "DIFFERS", eq.additive_dev,
-              eq.maximum_dev);
+  eq.pass = eq.coverage_identical && eq.value_dev <= value_gate;
+  std::printf("  equivalence: coverage %s, max deviation %.2e\n",
+              eq.coverage_identical ? "identical" : "DIFFERS", eq.value_dev);
   return eq;
 }
 
@@ -536,7 +522,7 @@ int main(int argc, char** argv) {
   // End-to-end tier ratios are Amdahl-limited by triangle setup and edge
   // walking, so the AVX2 gate is on the span kernel's own fragment
   // throughput: the workload's spans replayed through each tier's
-  // sample_row_add in isolation.
+  // sample_rows_add in isolation.
   const SpanWorkload span_work = capture_spans(r, fb);
   std::printf("  tier ablation: %zu spans, %lld fragments, mean length %.1f\n",
               span_work.spans.size(),
@@ -608,14 +594,9 @@ int main(int argc, char** argv) {
   core::DncConfig dnc;
   dnc.processors = 2;
   dnc.pipes = 1;
-  dnc.raster_algorithm = render::RasterAlgorithm::kReference;
-  const auto ref_rates = bench::measure_rates(r.workload, dnc, 1);
-  dnc.raster_algorithm = render::RasterAlgorithm::kSpan;
   const auto span_rates = bench::measure_rates(r.workload, dnc, 1);
-  std::printf("  modeled frame (eq. 3.2): reference %.3fs, span %.3fs, genT %0.3fs -> %0.3fs\n",
-              ref_rates.stats.modeled_frame_seconds,
+  std::printf("  modeled frame (eq. 3.2): span %.3fs, genT %0.3fs\n",
               span_rates.stats.modeled_frame_seconds,
-              ref_rates.stats.genT_critical_seconds,
               span_rates.stats.genT_critical_seconds);
 
   if (!json_path.empty()) {
@@ -632,8 +613,6 @@ int main(int argc, char** argv) {
                    static_cast<double>(triangles));
     report.set("ref.frags_per_second", ref.frags_per_second);
     report.set("ref.visited_ratio", ratio(ref.stats));
-    report.set("ref.modeled_frame_seconds", ref_rates.stats.modeled_frame_seconds);
-    report.set("ref.genT_critical_seconds", ref_rates.stats.genT_critical_seconds);
     report.set("span.frags_per_second", span.frags_per_second);
     report.set("span.visited_ratio", ratio(span.stats));
     report.set("span.modeled_frame_seconds",
@@ -641,8 +620,7 @@ int main(int argc, char** argv) {
     report.set("span.genT_critical_seconds",
                span_rates.stats.genT_critical_seconds);
     report.set("speedup", speedup);
-    report.set("max_abs_deviation",
-               static_cast<double>(std::max(eq.additive_dev, eq.maximum_dev)));
+    report.set("max_abs_deviation", static_cast<double>(eq.value_dev));
     report.set("coverage_identical", eq.coverage_identical);
     report.set("gate.threshold", gate);
     report.set("gate.pass", eq.pass && speedup >= gate);
@@ -660,8 +638,7 @@ int main(int argc, char** argv) {
     report.set("small.layer.setup_seconds", small.setup_seconds());
     report.set("small.layer.kernel_seconds", small.kernel_seconds);
     report.set("small.max_abs_deviation",
-               static_cast<double>(std::max(small.equivalence.additive_dev,
-                                            small.equivalence.maximum_dev)));
+               static_cast<double>(small.equivalence.value_dev));
     report.set("small.coverage_identical", small.equivalence.coverage_identical);
     for (const TierRate& tr : tier_rates) {
       report.set(std::string("tier.") + util::simd::tier_name(tr.tier) +

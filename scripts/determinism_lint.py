@@ -25,7 +25,7 @@ the pixels. Three textual rules keep that property from regressing:
       waiver: `// determinism:` comment on the line or the line above.
   D4  in the SIMD kernel files, an intrinsic float add
       (_mm_add_ps / _mm256_add_ps / vaddq_f32) must have a quantize
-      reference (quantize128/quantize256/quantize_neon/quantize_contribution)
+      reference (quantize128/quantize256/quantize_contribution)
       within a few lines — the vector tiers carry the same lattice contract
       as the scalar expression, and an unquantized vector accumulation is
       invisible to D3's `+=` pattern.
@@ -79,8 +79,7 @@ ACCUM_CONTEXT_LINES = 6
 # Intrinsic float adds in the explicit-SIMD kernel files (rule D4). Integer
 # adds (_mm256_add_epi32 etc.) are position arithmetic and exempt.
 INTRINSIC_ADD = re.compile(r"_mm256_add_ps|_mm_add_ps|vaddq_f32")
-KERNEL_QUANTIZE = re.compile(
-    r"quantize(?:128|256|_neon|_contribution|_span)")
+KERNEL_QUANTIZE = re.compile(r"quantize(?:128|256|_contribution)")
 # D4 looks a few lines DOWN as well: the fused samplers compute a lerp and
 # quantize the result on the following lines.
 D4_DOWN_LINES = 3

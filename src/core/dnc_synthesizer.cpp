@@ -28,8 +28,7 @@ std::uint64_t fold_pod(const auto& value, std::uint64_t h) {
 /// explicit key input), scheduling knobs (processors, pipes, chunking,
 /// stealing, bus/pipe timing models — the lattice makes pixels independent
 /// of all of them), and the tile layout (the key carries the rect itself).
-std::uint64_t hash_pixel_config(const SynthesisConfig& sc,
-                                render::RasterAlgorithm algorithm) {
+std::uint64_t hash_pixel_config(const SynthesisConfig& sc) {
   std::uint64_t h = util::kFnv1aOffset;
   h = fold_pod(sc.texture_width, h);
   h = fold_pod(sc.texture_height, h);
@@ -51,9 +50,6 @@ std::uint64_t hash_pixel_config(const SynthesisConfig& sc,
     h = fold_pod(sc.window->x1, h);
     h = fold_pod(sc.window->y1, h);
   }
-  // The two raster algorithms are coverage-identical but not bit-identical
-  // (see test_rasterizer.cpp), so they must never share tiles.
-  h = fold_pod(static_cast<int>(algorithm), h);
   return h;
 }
 
@@ -101,7 +97,7 @@ DncSynthesizer::DncSynthesizer(SynthesisConfig synthesis, DncConfig dnc,
   DCSN_CHECK(dnc_.chunk_spots >= 1, "chunk size must be positive");
 
   bus_ = std::make_shared<render::Bus>(dnc_.bus_bytes_per_second);
-  tile_key_config_hash_ = hash_pixel_config(synthesis_, dnc_.raster_algorithm);
+  tile_key_config_hash_ = hash_pixel_config(synthesis_);
 
   // Tiled mode: each pipe renders one region; otherwise each pipe renders
   // the full texture and the partials are blended. The cost-balanced
@@ -129,16 +125,14 @@ DncSynthesizer::DncSynthesizer(SynthesisConfig synthesis, DncConfig dnc,
     }
     pc.state_change_seconds = dnc_.state_change_seconds;
     pc.queue_capacity = dnc_.pipe_queue_capacity;
-    pc.raster_algorithm = dnc_.raster_algorithm;
     // Borrowed, not owned: an idle pipe with a matching behavioral config
     // is reshaped (resize_target) instead of constructing a fresh server
     // thread; the lease hands it back when this session ends.
     group.pipe = runtime_->acquire_pipe(pc, bus_, g);
     group.work = std::make_unique<util::StealableWorkCounter>(0, dnc_.chunk_spots);
-    // Initial pipe state: the spot profile texture and additive blending.
-    // Set once; per-spot state changes are exactly what the design avoids.
+    // Initial pipe state: the spot profile texture. Set once; per-spot state
+    // changes are exactly what the design avoids.
     group.pipe->bind_profile(profile);
-    group.pipe->set_blend_mode(render::BlendMode::kAdditive);
     if (dnc_.tiled) {
       const Tile& tile = tiles_[static_cast<std::size_t>(g)];
       group.pipe->set_viewport_origin(tile.x0, tile.y0);

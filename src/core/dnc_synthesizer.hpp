@@ -153,10 +153,6 @@ struct DncConfig {
   double bus_bytes_per_second = 0.0;
   /// Pipe state-change sync latency (see render::PipeConfig).
   double state_change_seconds = 20e-6;
-  /// Triangle fill algorithm the pipes rasterize with. kSpan is the fast
-  /// span-based scanline kernel; kReference is the bbox-walk oracle
-  /// (equivalence tests, bench_raster_kernel ablation).
-  render::RasterAlgorithm raster_algorithm = render::RasterAlgorithm::kSpan;
   std::size_t pipe_queue_capacity = 64;
   /// Texture decomposition instead of full-texture gather-blend.
   bool tiled = false;

@@ -205,10 +205,9 @@ class Runtime {
   friend class PipeLease;
 
   // Behavioral pipe identity: everything except the (resizable) dimensions.
-  using PipeKey = std::tuple<double, std::size_t, int>;
+  using PipeKey = std::tuple<double, std::size_t>;
   static PipeKey key_of(const render::PipeConfig& config) {
-    return {config.state_change_seconds, config.queue_capacity,
-            static_cast<int>(config.raster_algorithm)};
+    return {config.state_change_seconds, config.queue_capacity};
   }
 
   void release_pipe(std::unique_ptr<render::GraphicsPipe> pipe);

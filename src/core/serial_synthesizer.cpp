@@ -77,8 +77,7 @@ struct PartialReduceJob final : Runtime::SharedJob {
                                buffer);
         genP += watch.seconds();
         watch.restart();
-        render::rasterize_buffer(target, buffer, profile,
-                                 render::BlendMode::kAdditive, raster);
+        render::rasterize_buffer(target, buffer, profile, raster);
         genT += watch.seconds();
         verts += static_cast<std::int64_t>(buffer.vertex_count());
       }
@@ -179,8 +178,7 @@ SerialStats SerialSynthesizer::synthesize(const field::VectorField& f,
       }
       {
         const util::ScopedTimer t(genT);
-        render::rasterize_buffer(target, buffer, *profile_, render::BlendMode::kAdditive,
-                                 stats.raster);
+        render::rasterize_buffer(target, buffer, *profile_, stats.raster);
       }
       stats.vertices += static_cast<std::int64_t>(buffer.vertex_count());
     }

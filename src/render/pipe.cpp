@@ -21,8 +21,6 @@ void GraphicsPipe::bind_profile(std::shared_ptr<const SpotProfile> profile) {
   queue_.push(CmdBindProfile{std::move(profile)});
 }
 
-void GraphicsPipe::set_blend_mode(BlendMode mode) { queue_.push(CmdBlendMode{mode}); }
-
 void GraphicsPipe::set_viewport_origin(int x, int y) {
   queue_.push(CmdViewport{x, y});
 }
@@ -116,16 +114,6 @@ void GraphicsPipe::execute(Command& cmd) {
       pipe.stats_.busy_seconds += watch.seconds();
     }
 
-    void operator()(CmdBlendMode& c) {
-      const util::Stopwatch watch;
-      pipe.pay_state_change();
-      pipe.blend_mode_ = c.mode;
-      util::MutexLock lock(pipe.stats_mutex_);
-      pipe.stats_.state_changes += 1;
-      pipe.stats_.state_seconds += watch.seconds();
-      pipe.stats_.busy_seconds += watch.seconds();
-    }
-
     void operator()(CmdViewport& c) {
       pipe.viewport_x_ = c.x;
       pipe.viewport_y_ = c.y;
@@ -172,9 +160,8 @@ void GraphicsPipe::execute(Command& cmd) {
       RasterStats raster;
       if (pipe.bound_profile_) {
         const RasterTarget target{pipe.target_.pixels(), pipe.viewport_x_,
-                                  pipe.viewport_y_, pipe.config_.raster_algorithm};
-        rasterize_buffer(target, c.buffer, *pipe.bound_profile_, pipe.blend_mode_,
-                         raster);
+                                  pipe.viewport_y_};
+        rasterize_buffer(target, c.buffer, *pipe.bound_profile_, raster);
       }
       const double busy = watch.seconds();
       util::MutexLock lock(pipe.stats_mutex_);

@@ -8,10 +8,11 @@
 //   * commands (state changes, clears, vertex buffers, fences) stream
 //     through a bounded queue, so submission overlaps execution — the
 //     max(genP, genT) overlap of eq. 2.1 rather than the sum;
-//   * a bound spot profile and blend mode form the pipe's state; changing
-//     state costs a configurable synchronization latency, modeling the
-//     geometry-processor sync the paper avoids by transforming spots on the
-//     CPUs (§4, footnote 1);
+//   * the bound spot profile and the viewport origin form the pipe's state
+//     (blending is always additive: spot noise is a sum); binding a profile
+//     or resizing the target costs a configurable synchronization latency,
+//     modeling the geometry-processor sync the paper avoids by transforming
+//     spots on the CPUs (§4, footnote 1);
 //   * vertex buffers arrive via the shared Bus, and read_back() returns the
 //     finished texture across the same bus (the sequential gather of §3).
 //
@@ -40,14 +41,10 @@ namespace dcsn::render {
 struct PipeConfig {
   int width = 512;
   int height = 512;
-  /// Latency of one state change (texture bind, blend switch, matrix load).
+  /// Latency of one state change (texture bind, target resize, matrix load).
   /// The default models a fraction of the IR's geometry-processor sync.
   double state_change_seconds = 20e-6;
   std::size_t queue_capacity = 64;
-  /// Triangle fill algorithm for every draw on this pipe. kSpan is the
-  /// production hot path; kReference keeps the bbox walk selectable for
-  /// equivalence testing and the bench_raster_kernel ablation.
-  RasterAlgorithm raster_algorithm = RasterAlgorithm::kSpan;
 };
 
 struct PipeStats {
@@ -76,9 +73,6 @@ class GraphicsPipe {
 
   /// Binds a spot profile (a state change).
   void bind_profile(std::shared_ptr<const SpotProfile> profile);
-
-  /// Sets the blend mode (a state change).
-  void set_blend_mode(BlendMode mode);
 
   /// Sets the viewport origin so geometry in full-texture coordinates lands
   /// in this pipe's (smaller) target — used by texture tiling. Integral
@@ -135,9 +129,6 @@ class GraphicsPipe {
   struct CmdBindProfile {
     std::shared_ptr<const SpotProfile> profile;
   };
-  struct CmdBlendMode {
-    BlendMode mode;
-  };
   struct CmdViewport {
     int x, y;
   };
@@ -155,8 +146,8 @@ class GraphicsPipe {
   struct CmdFence {
     std::promise<void> done;
   };
-  using Command = std::variant<CmdBindProfile, CmdBlendMode, CmdViewport, CmdResize,
-                               CmdClear, CmdDraw, CmdFence>;
+  using Command =
+      std::variant<CmdBindProfile, CmdViewport, CmdResize, CmdClear, CmdDraw, CmdFence>;
 
   void server_loop(std::stop_token stop);
   void execute(Command& cmd);
@@ -172,7 +163,6 @@ class GraphicsPipe {
   // server_ — ordering with the caller is the queue's synchronization.
   Framebuffer target_;      // lock-lint: unguarded(server thread only)
   std::shared_ptr<const SpotProfile> bound_profile_;  // lock-lint: unguarded(server thread only)
-  BlendMode blend_mode_ = BlendMode::kAdditive;  // lock-lint: unguarded(server thread only)
   int viewport_x_ = 0;      // lock-lint: unguarded(server thread only)
   int viewport_y_ = 0;      // lock-lint: unguarded(server thread only)
 

@@ -115,9 +115,9 @@ struct Raster {
 };
 
 // Rejects degenerate / non-finite / off-target triangles; fills `s` else.
-// Forced inline: with four kernel instantiations calling it GCC keeps it
-// out of line, and the call plus the TriSetup round trip through memory
-// cost ~15% of a tiny triangle's raster time.
+// Forced inline: with both kernels calling it GCC keeps it out of line,
+// and the call plus the TriSetup round trip through memory cost ~15% of a
+// tiny triangle's raster time.
 [[gnu::always_inline]] inline bool setup_triangle(const Raster& ctx, MeshVertex a,
                                                   MeshVertex b, MeshVertex c,
                                                   TriSetup& s) {
@@ -201,10 +201,10 @@ struct Raster {
 // kReference: the bounding-box walk. Every bbox pixel evaluates all three
 // edge functions; covered fragments take the branchy bounds-checked
 // SpotProfile::sample. This is the algorithm the span kernel is proven
-// against, kept selectable for equivalence tests and ablation benches.
+// against, selectable through RasterTarget::algorithm for equivalence tests,
+// the reference golden scenes and ablation benches.
 // ---------------------------------------------------------------------------
 
-template <BlendMode Mode>
 void raster_tri_reference(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
                           const MeshVertex& vc, float weight, RasterStats& stats) {
   TriSetup s;
@@ -234,12 +234,7 @@ void raster_tri_reference(Raster& ctx, const MeshVertex& va, const MeshVertex& v
         const float u = wa * s.a.u + wb * s.b.u + wc * s.c.u;
         const float v = wa * s.a.v + wb * s.b.v + wc * s.c.v;
         const float texel = profile.sample(u, v);
-        const float value = util::simd::quantize_contribution(weight * texel);
-        if constexpr (Mode == BlendMode::kAdditive) {
-          row[lx] += value;
-        } else {
-          row[lx] = std::max(row[lx], value);
-        }
+        row[lx] += util::simd::quantize_contribution(weight * texel);
         ++fragments;
       }
     }
@@ -270,8 +265,8 @@ void raster_tri_reference(Raster& ctx, const MeshVertex& va, const MeshVertex& v
 // columns all three admit form one interval.
 
 // Windows at most this wide take the lane solve: two 4-float vectors, the
-// width every SIMD baseline (SSE2, NEON) handles natively. Wider generic
-// vectors get split element by element on a baseline x86-64 build.
+// width of SSE2, the x86-64 baseline. Wider generic vectors get split
+// element by element on a baseline x86-64 build.
 constexpr int kLanes = 8;
 using Lane4f = float __attribute__((vector_size(16)));
 using Lane4i = std::int32_t __attribute__((vector_size(16)));
@@ -424,34 +419,20 @@ struct WalkSolve {
 // pixel.
 constexpr int kInlineSpan = 4;
 
-template <BlendMode Mode>
 void blend_inline(float* dst, const SpotProfile::RowSampler& sampler, int base, int n,
                   float weight) {
   for (int k = 0; k < n; ++k) {
-    const float value =
-        util::simd::quantize_contribution(weight * sampler.sample_at(base + k));
-    if constexpr (Mode == BlendMode::kAdditive) {
-      dst[k] += value;
-    } else {
-      dst[k] = dst[k] < value ? value : dst[k];
-    }
+    dst[k] += util::simd::quantize_contribution(weight * sampler.sample_at(base + k));
   }
 }
 
-template <BlendMode Mode>
 void flush_batch(Raster& ctx) {
   if (ctx.batched == 0) return;
-  if constexpr (Mode == BlendMode::kAdditive) {
-    ctx.kernels.sample_rows_add(ctx.batch_dst, ctx.batch_span, ctx.batch_len,
+  ctx.kernels.sample_rows_add(ctx.batch_dst, ctx.batch_span, ctx.batch_len,
                               static_cast<std::size_t>(ctx.batched));
-  } else {
-    ctx.kernels.sample_rows_max(ctx.batch_dst, ctx.batch_span, ctx.batch_len,
-                              static_cast<std::size_t>(ctx.batched));
-  }
   ctx.batched = 0;
 }
 
-template <BlendMode Mode>
 void raster_tri_span(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
                      const MeshVertex& vc, float weight, RasterStats& stats) {
   TriSetup s;
@@ -560,13 +541,6 @@ void raster_tri_span(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
     const int r1 = std::clamp(s1, r0, hi);
 
     float* dst = &pixels(0, y - target.origin_y) + (s.ax + lo - target.origin_x);
-    if constexpr (Mode == BlendMode::kMaximum) {
-      // The reference blends max(dst, quantize(weight * 0)) on zero-texel
-      // fragments; replicate that on the out-of-range flanks.
-      const float flank = util::simd::quantize_contribution(weight * 0.0f);
-      ctx.kernels.max_with(dst, flank, static_cast<std::size_t>(r0 - lo));
-      ctx.kernels.max_with(dst + (r1 - lo), flank, static_cast<std::size_t>(hi - r1));
-    }
     if (r0 < r1) {
       // Rebase the sampler at the geometric in-range start s0 — in [0,1)^2
       // so the fixed-point position fits. Rendered fragments sample at
@@ -582,37 +556,31 @@ void raster_tri_span(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
       // order bit for bit.
       sampler.start_row(u_row + s0 * du_dx, v_row + s0 * dv_dx);
       if (r1 - r0 <= kInlineSpan) {
-        blend_inline<Mode>(dst + (r0 - lo), sampler, r0 - s0, r1 - r0, weight);
+        blend_inline(dst + (r0 - lo), sampler, r0 - s0, r1 - r0, weight);
       } else {
         ctx.batch_dst[ctx.batched] = dst + (r0 - lo);
         ctx.batch_span[ctx.batched] = sampler.span(r0 - s0, weight);
         ctx.batch_len[ctx.batched] = static_cast<std::uint32_t>(r1 - r0);
-        if (++ctx.batched == Raster::kSpanBatch) flush_batch<Mode>(ctx);
+        if (++ctx.batched == Raster::kSpanBatch) flush_batch(ctx);
       }
     }
   }
-  flush_batch<Mode>(ctx);
+  flush_batch(ctx);
   ++stats.triangles;
   stats.fragments += fragments;
   stats.pixels_visited += visited;
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch: blend mode and algorithm resolve to one instantiated kernel,
-// selected once per mesh / per command buffer instead of per triangle.
+// Dispatch: the algorithm resolves to one triangle kernel, selected once
+// per mesh / per command buffer instead of per triangle.
 // ---------------------------------------------------------------------------
 
 using TriKernel = void (*)(Raster&, const MeshVertex&, const MeshVertex&,
                            const MeshVertex&, float, RasterStats&);
 
-TriKernel select_kernel(BlendMode mode, RasterAlgorithm algorithm) {
-  const bool additive = mode == BlendMode::kAdditive;
-  if (algorithm == RasterAlgorithm::kSpan) {
-    return additive ? &raster_tri_span<BlendMode::kAdditive>
-                    : &raster_tri_span<BlendMode::kMaximum>;
-  }
-  return additive ? &raster_tri_reference<BlendMode::kAdditive>
-                  : &raster_tri_reference<BlendMode::kMaximum>;
+TriKernel select_kernel(RasterAlgorithm algorithm) {
+  return algorithm == RasterAlgorithm::kSpan ? &raster_tri_span : &raster_tri_reference;
 }
 
 void mesh_with_kernel(TriKernel kernel, Raster& ctx, std::span<const MeshVertex> vertices,
@@ -638,23 +606,22 @@ void mesh_with_kernel(TriKernel kernel, Raster& ctx, std::span<const MeshVertex>
 
 void rasterize_triangle(const RasterTarget& target, const MeshVertex& a,
                         const MeshVertex& b, const MeshVertex& c, float weight,
-                        const SpotProfile& profile, BlendMode mode,
-                        RasterStats& stats) {
+                        const SpotProfile& profile, RasterStats& stats) {
   Raster ctx(target, profile);
-  select_kernel(mode, target.algorithm)(ctx, a, b, c, weight, stats);
+  select_kernel(target.algorithm)(ctx, a, b, c, weight, stats);
 }
 
 void rasterize_mesh(const RasterTarget& target, std::span<const MeshVertex> vertices,
                     int cols, int rows, float weight, const SpotProfile& profile,
-                    BlendMode mode, RasterStats& stats) {
+                    RasterStats& stats) {
   Raster ctx(target, profile);
-  mesh_with_kernel(select_kernel(mode, target.algorithm), ctx, vertices, cols, rows,
-                   weight, stats);
+  mesh_with_kernel(select_kernel(target.algorithm), ctx, vertices, cols, rows, weight,
+                   stats);
 }
 
 void rasterize_buffer(const RasterTarget& target, const CommandBuffer& buffer,
-                      const SpotProfile& profile, BlendMode mode, RasterStats& stats) {
-  const TriKernel kernel = select_kernel(mode, target.algorithm);
+                      const SpotProfile& profile, RasterStats& stats) {
+  const TriKernel kernel = select_kernel(target.algorithm);
   Raster ctx(target, profile);
   for (const MeshHeader& h : buffer.meshes()) {
     mesh_with_kernel(kernel, ctx, buffer.vertices_of(h), h.cols, h.rows, h.intensity,

@@ -5,9 +5,10 @@
 // quad by quad, each quad split into two triangles rasterized with the
 // top-left fill rule so adjacent quads of a bent-spot ribbon never double-
 // blend a pixel along their shared edge. Fragments sample the spot profile
-// bilinearly and blend into the float target — the software equivalent of
-// texture-mapped polygon rendering with additive blending on the
-// InfiniteReality.
+// bilinearly and add into the float target — spot noise is the sum
+// f(x) = Σ a_i h(x - x_i), so addition is the only blend — the software
+// equivalent of texture-mapped polygon rendering with additive blending on
+// the InfiniteReality.
 //
 // Two interchangeable triangle fill algorithms (RasterAlgorithm):
 //
@@ -23,8 +24,9 @@
 //     expression every kernel tier reproduces, so the cut-over never
 //     shows in a pixel.
 //   * kReference — the original bounding-box walk testing all three edge
-//     functions per pixel. Kept selectable for equivalence testing and for
-//     the bench_raster_kernel ablation.
+//     functions per pixel. The oracle of the equivalence tests, the
+//     reference golden scenes and the bench_raster_kernel ablation; only
+//     RasterTarget::algorithm selects it — every pipe rasterizes with kSpan.
 //
 // Both algorithms construct edges from the same canonical endpoint ordering
 // and evaluate every edge value with the same expression (direct multiply
@@ -53,11 +55,6 @@
 #include "util/span2d.hpp"
 
 namespace dcsn::render {
-
-enum class BlendMode {
-  kAdditive,  ///< dst += w * tex — the spot-noise sum
-  kMaximum,   ///< dst = max(dst, w * tex) — used by some filtered variants
-};
 
 /// Triangle fill strategy. kSpan is the production hot path; kReference is
 /// the bbox-walk oracle it is measured and tested against.
@@ -101,25 +98,24 @@ struct RasterStats {
   }
 };
 
-/// Rasterizes one triangle. Vertices carry positions in texture pixels and
-/// profile UVs; `weight` scales every fragment (the spot's a_i).
+/// Rasterizes one triangle, adding weight * profile(uv) into every covered
+/// pixel. Vertices carry positions in texture pixels and profile UVs;
+/// `weight` scales every fragment (the spot's a_i).
 void rasterize_triangle(const RasterTarget& target, const MeshVertex& a,
                         const MeshVertex& b, const MeshVertex& c, float weight,
-                        const SpotProfile& profile, BlendMode mode,
-                        RasterStats& stats);
+                        const SpotProfile& profile, RasterStats& stats);
 
 /// Rasterizes a cols-x-rows mesh (row-major vertices) as its component
-/// quads. Blend mode and algorithm are dispatched once per mesh, not per
-/// triangle.
+/// quads. The algorithm is dispatched once per mesh, not per triangle.
 void rasterize_mesh(const RasterTarget& target, std::span<const MeshVertex> vertices,
                     int cols, int rows, float weight, const SpotProfile& profile,
-                    BlendMode mode, RasterStats& stats);
+                    RasterStats& stats);
 
-/// Rasterizes every mesh in a command buffer. The profile/blend/algorithm
-/// dispatch is hoisted out of the mesh loop: the triangle kernel is selected
-/// once and passed down (all meshes of a buffer share pipe state), and so is
-/// the per-call raster state (kernel table, span batch).
+/// Rasterizes every mesh in a command buffer. The algorithm dispatch is
+/// hoisted out of the mesh loop: the triangle kernel is selected once and
+/// passed down, and so is the per-call raster state (kernel table, span
+/// batch).
 void rasterize_buffer(const RasterTarget& target, const CommandBuffer& buffer,
-                      const SpotProfile& profile, BlendMode mode, RasterStats& stats);
+                      const SpotProfile& profile, RasterStats& stats);
 
 }  // namespace dcsn::render

@@ -126,8 +126,8 @@ class SpotProfile {
     }
 
     /// The sampler state rebased to step `base`, packaged for the
-    /// runtime-dispatched span kernels (util::simd::KernelTable's
-    /// sample_row_*). Exact: `fx0_ + base * dfx_` is the same int64
+    /// runtime-dispatched span kernel (util::simd::KernelTable's
+    /// sample_rows_add). Exact: `fx0_ + base * dfx_` is the same int64
     /// arithmetic sample_at(base + k) performs, so a kernel walking the
     /// returned span reproduces sample_at's positions bit-for-bit.
     /// Precondition: as for sample_at, every sampled step stays in [0,1)^2.

@@ -7,11 +7,9 @@
 // second code path to keep correct. Callers guarantee that `dst` and `src`
 // do not alias; the restrict qualifier is what licenses the vectorization.
 //
-// Semantics are pinned to the scalar expressions the rasterizer uses
-// (`dst += quantize_contribution(w * src)`, max spelled as a comparison),
-// so switching a call site to these kernels never changes results, only
-// speed. In particular the max kernels replicate std::max's NaN/signed-zero
-// behaviour: `a < b ? b : a`.
+// Semantics are pinned to the scalar expression the rasterizer uses
+// (`dst += quantize_contribution(w * src)`), so switching a call site to
+// these kernels never changes results, only speed.
 //
 // ---------------------------------------------------------------------------
 // The contribution lattice (exact, order-independent accumulation)
@@ -89,31 +87,6 @@ inline void add_scaled(float* __restrict__ dst, const float* __restrict__ src,
                        float w, std::size_t n) {
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i) dst[i] += quantize_contribution(w * src[i]);
-}
-
-/// dst[i] = max(dst[i], quantize(w * src[i])) — maximum spot blending.
-inline void max_scaled(float* __restrict__ dst, const float* __restrict__ src,
-                       float w, std::size_t n) {
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    const float s = quantize_contribution(w * src[i]);
-    dst[i] = dst[i] < s ? s : dst[i];
-  }
-}
-
-/// dst[i] = max(dst[i], v) — maximum blend against a constant (the span
-/// rasterizer's zero-texel flanks, where the reference blends w * 0).
-inline void max_with(float* __restrict__ dst, float v, std::size_t n) {
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) dst[i] = dst[i] < v ? v : dst[i];
-}
-
-/// dst[i] = quantize(src[i]) — the lattice snap over a whole lane buffer.
-/// Like every kernel here, dst and src must not alias.
-inline void quantize_span(float* __restrict__ dst, const float* __restrict__ src,
-                          std::size_t n) {
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) dst[i] = quantize_contribution(src[i]);
 }
 
 }  // namespace dcsn::util::simd

@@ -60,30 +60,12 @@ inline float bilinear_at(const SampleSpan& s, std::size_t k) {
 void add_portable(float* dst, const float* src, std::size_t n) {
   simd::add(dst, src, n);
 }
-void add_scaled_portable(float* dst, const float* src, float w, std::size_t n) {
-  simd::add_scaled(dst, src, w, n);
-}
-void max_scaled_portable(float* dst, const float* src, float w, std::size_t n) {
-  simd::max_scaled(dst, src, w, n);
-}
-void max_with_portable(float* dst, float v, std::size_t n) {
-  simd::max_with(dst, v, n);
-}
-void quantize_portable(float* dst, const float* src, std::size_t n) {
-  simd::quantize_span(dst, src, n);
-}
 
-template <bool Additive>
 void sample_row_portable(float* dst, const SampleSpan& s, std::size_t n) {
   if (n < kFusedSpan) {
     // Short span: fused step+sample+blend, no staging overhead.
     for (std::size_t k = 0; k < n; ++k) {
-      const float value = quantize_contribution(s.weight * bilinear_at(s, k));
-      if constexpr (Additive) {
-        dst[k] += value;
-      } else {
-        dst[k] = dst[k] < value ? value : dst[k];
-      }
+      dst[k] += quantize_contribution(s.weight * bilinear_at(s, k));
     }
     return;
   }
@@ -95,31 +77,17 @@ void sample_row_portable(float* dst, const SampleSpan& s, std::size_t n) {
     const std::size_t chunk = n - k < kRowTile ? n - k : kRowTile;
 #pragma omp simd
     for (std::size_t i = 0; i < chunk; ++i) texels[i] = bilinear_at(s, k + i);
-    if constexpr (Additive) {
-      simd::add_scaled(dst + k, texels, s.weight, chunk);
-    } else {
-      simd::max_scaled(dst + k, texels, s.weight, chunk);
-    }
+    simd::add_scaled(dst + k, texels, s.weight, chunk);
     k += chunk;
   }
 }
 
-template <bool Additive>
 void sample_rows_portable(float* const* dst, const SampleSpan* spans,
                           const std::uint32_t* lens, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    sample_row_portable<Additive>(dst[i], spans[i], lens[i]);
-  }
+  for (std::size_t i = 0; i < count; ++i) sample_row_portable(dst[i], spans[i], lens[i]);
 }
 
-constexpr KernelTable kScalarTable = {
-    &add_portable,        &add_scaled_portable,
-    &max_scaled_portable, &max_with_portable,
-    &quantize_portable,   &sample_row_portable<true>,
-    &sample_row_portable<false>,
-    &sample_rows_portable<true>,
-    &sample_rows_portable<false>,
-};
+constexpr KernelTable kScalarTable = {&add_portable, &sample_rows_portable};
 
 // ---------------------------------------------------------------------------
 // SSE2 tier (x86-64 baseline): 128-bit lanes. Select is spelled with
@@ -166,41 +134,11 @@ void add_scaled_sse2(float* dst, const float* src, float w, std::size_t n) {
   if (k < n) simd::add_scaled(dst + k, src + k, w, n - k);
 }
 
-void max_scaled_sse2(float* dst, const float* src, float w, std::size_t n) {
-  const __m128 wv = _mm_set1_ps(w);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128 s = quantize128(_mm_mul_ps(wv, _mm_loadu_ps(src + k)));
-    const __m128 d = _mm_loadu_ps(dst + k);
-    _mm_storeu_ps(dst + k, select128(d, s, _mm_cmplt_ps(d, s)));
-  }
-  if (k < n) simd::max_scaled(dst + k, src + k, w, n - k);
-}
-
-void max_with_sse2(float* dst, float v, std::size_t n) {
-  const __m128 s = _mm_set1_ps(v);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128 d = _mm_loadu_ps(dst + k);
-    _mm_storeu_ps(dst + k, select128(d, s, _mm_cmplt_ps(d, s)));
-  }
-  if (k < n) simd::max_with(dst + k, v, n - k);
-}
-
-void quantize_sse2(float* dst, const float* src, std::size_t n) {
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    _mm_storeu_ps(dst + k, quantize128(_mm_loadu_ps(src + k)));
-  }
-  if (k < n) simd::quantize_span(dst + k, src + k, n - k);
-}
-
 // SSE2 has no gather: stage texels with the scalar fetch (identical bits),
-// then blend the contiguous chunk with the 128-bit kernels.
-template <bool Additive>
+// then blend the contiguous chunk with the 128-bit kernel.
 void sample_row_sse2(float* dst, const SampleSpan& s, std::size_t n) {
   if (n < kFusedSpan) {
-    sample_row_portable<Additive>(dst, s, n);
+    sample_row_portable(dst, s, n);
     return;
   }
   float texels[kRowTile];
@@ -208,31 +146,17 @@ void sample_row_sse2(float* dst, const SampleSpan& s, std::size_t n) {
   while (k < n) {
     const std::size_t chunk = n - k < kRowTile ? n - k : kRowTile;
     for (std::size_t i = 0; i < chunk; ++i) texels[i] = bilinear_at(s, k + i);
-    if constexpr (Additive) {
-      add_scaled_sse2(dst + k, texels, s.weight, chunk);
-    } else {
-      max_scaled_sse2(dst + k, texels, s.weight, chunk);
-    }
+    add_scaled_sse2(dst + k, texels, s.weight, chunk);
     k += chunk;
   }
 }
 
-template <bool Additive>
 void sample_rows_sse2(float* const* dst, const SampleSpan* spans,
                       const std::uint32_t* lens, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    sample_row_sse2<Additive>(dst[i], spans[i], lens[i]);
-  }
+  for (std::size_t i = 0; i < count; ++i) sample_row_sse2(dst[i], spans[i], lens[i]);
 }
 
-constexpr KernelTable kSse2Table = {
-    &add_sse2,        &add_scaled_sse2,
-    &max_scaled_sse2, &max_with_sse2,
-    &quantize_sse2,   &sample_row_sse2<true>,
-    &sample_row_sse2<false>,
-    &sample_rows_sse2<true>,
-    &sample_rows_sse2<false>,
-};
+constexpr KernelTable kSse2Table = {&add_sse2, &sample_rows_sse2};
 
 // ---------------------------------------------------------------------------
 // AVX2 tier: 256-bit lanes and the fully fused span sampler — the 32.32
@@ -266,48 +190,6 @@ void DCSN_TARGET_AVX2 add_avx2(float* dst, const float* src, std::size_t n) {
     _mm256_storeu_ps(dst + k, sum);
   }
   if (k < n) simd::add(dst + k, src + k, n - k);
-}
-
-void DCSN_TARGET_AVX2 add_scaled_avx2(float* dst, const float* src, float w,
-                                      std::size_t n) {
-  const __m256 wv = _mm256_set1_ps(w);
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256 s = quantize256(_mm256_mul_ps(wv, _mm256_loadu_ps(src + k)));
-    _mm256_storeu_ps(dst + k, _mm256_add_ps(_mm256_loadu_ps(dst + k), s));
-  }
-  if (k < n) simd::add_scaled(dst + k, src + k, w, n - k);
-}
-
-void DCSN_TARGET_AVX2 max_scaled_avx2(float* dst, const float* src, float w,
-                                      std::size_t n) {
-  const __m256 wv = _mm256_set1_ps(w);
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256 s = quantize256(_mm256_mul_ps(wv, _mm256_loadu_ps(src + k)));
-    const __m256 d = _mm256_loadu_ps(dst + k);
-    // dst < s ? s : dst — blendv, not maxps, to keep scalar NaN semantics.
-    _mm256_storeu_ps(dst + k, _mm256_blendv_ps(d, s, _mm256_cmp_ps(d, s, _CMP_LT_OQ)));
-  }
-  if (k < n) simd::max_scaled(dst + k, src + k, w, n - k);
-}
-
-void DCSN_TARGET_AVX2 max_with_avx2(float* dst, float v, std::size_t n) {
-  const __m256 s = _mm256_set1_ps(v);
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256 d = _mm256_loadu_ps(dst + k);
-    _mm256_storeu_ps(dst + k, _mm256_blendv_ps(d, s, _mm256_cmp_ps(d, s, _CMP_LT_OQ)));
-  }
-  if (k < n) simd::max_with(dst + k, v, n - k);
-}
-
-void DCSN_TARGET_AVX2 quantize_avx2(float* dst, const float* src, std::size_t n) {
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    _mm256_storeu_ps(dst + k, quantize256(_mm256_loadu_ps(src + k)));
-  }
-  if (k < n) simd::quantize_span(dst + k, src + k, n - k);
 }
 
 // Bit-exact unsigned 32 -> float: split into exact 16-bit halves; the one
@@ -463,71 +345,24 @@ DCSN_TARGET_AVX2 inline __m256 avx2_span_value(const Avx2Span& v, __m256 gmask) 
   return quantize256(_mm256_mul_ps(v.wv, texel));
 }
 
-// The fused span sampler: full eight-lane blocks while more than one block
-// remains, then ONE masked block for whatever is left (1..8 lanes; the mask
-// is all-ones when exactly eight remain, in which case vgatherdps and
-// vmaskmovps touch the same memory the unmasked forms would). Masked-off
-// lanes never touch memory, so the active lanes are the same bits the
-// scalar loop would produce and nothing reads past the span. One
-// straight-line path for every length — even one-fragment spans take the
-// masked block: under the workload's mixed span-length stream, every
-// data-dependent branch (a short-span scalar fallback, masked-vs-scalar
-// tail choice, scalar remainder trip counts) costs more in mispredicts
-// than a masked block ever costs in lanes.
 // One masked block: blends `rem` (1..8) lanes of the span's current
-// position into dst. Masked-off lanes never touch memory.
-template <bool Additive>
+// position into dst. The mask is all-ones when exactly eight remain, in
+// which case vgatherdps and vmaskmovps touch the same memory the unmasked
+// forms would; masked-off lanes never touch memory, so the active lanes are
+// the same bits the scalar loop would produce and nothing reads past the
+// span. Every span ends in one such block — even a one-fragment span: under
+// the workload's mixed span-length stream, every data-dependent branch (a
+// short-span scalar fallback, masked-vs-scalar tail choice, scalar
+// remainder trip counts) costs more in mispredicts than a masked block ever
+// costs in lanes.
 DCSN_TARGET_AVX2 inline void avx2_masked_block(float* dst, const Avx2Span& v,
                                                std::size_t rem) {
   const __m256i im = _mm256_loadu_si256(
       reinterpret_cast<const __m256i*>(kTailMask + (8 - rem)));
   const __m256 value = avx2_span_value(v, _mm256_castsi256_ps(im));
   const __m256 d = _mm256_maskload_ps(dst, im);
-  if constexpr (Additive) {
-    // determinism: lattice-exact — avx2_span_value returns quantized lanes
-    _mm256_maskstore_ps(dst, im, _mm256_add_ps(d, value));
-  } else {
-    _mm256_maskstore_ps(
-        dst, im,
-        _mm256_blendv_ps(d, value, _mm256_cmp_ps(d, value, _CMP_LT_OQ)));
-  }
-}
-
-// Full eight-lane blocks while more than one block remains, then one masked
-// block for the 1..8 leftover lanes. Positions (and steps, when n > 8) must
-// already be loaded into `v`.
-template <bool Additive>
-DCSN_TARGET_AVX2 inline void avx2_row_blocks(float* dst, Avx2Span& v,
-                                             std::size_t n) {
-  std::size_t k = 0;
-  if (n > 8) {
-    const __m256 full = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
-    do {
-      const __m256 value = avx2_span_value(v, full);
-      const __m256 d = _mm256_loadu_ps(dst + k);
-      if constexpr (Additive) {
-        // determinism: lattice-exact — avx2_span_value returns quantized lanes
-        _mm256_storeu_ps(dst + k, _mm256_add_ps(d, value));
-      } else {
-        // dst < s ? s : dst — blendv, not maxps, to keep scalar NaN semantics.
-        _mm256_storeu_ps(
-            dst + k,
-            _mm256_blendv_ps(d, value, _mm256_cmp_ps(d, value, _CMP_LT_OQ)));
-      }
-      avx2_span_advance(v);
-      k += 8;
-    } while (n - k > 8);
-  }
-  avx2_masked_block<Additive>(dst + k, v, n - k);
-}
-
-template <bool Additive>
-void DCSN_TARGET_AVX2 sample_row_avx2(float* dst, const SampleSpan& s,
-                                      std::size_t n) {
-  if (n == 0) return;
-  Avx2Span v = avx2_span_positions(s);
-  if (n > 8) avx2_span_steps(v, s);
-  avx2_row_blocks<Additive>(dst, v, n);
+  // determinism: lattice-exact — avx2_span_value returns quantized lanes
+  _mm256_maskstore_ps(dst, im, _mm256_add_ps(d, value));
 }
 
 // One packed pair block: span a -> dst_a (na <= 4 lanes 0-3), span b ->
@@ -535,7 +370,6 @@ void DCSN_TARGET_AVX2 sample_row_avx2(float* dst, const SampleSpan& s,
 // (na ones in four lanes = the xmm at &kTailMask[8 - na]); destinations are
 // touched with per-half xmm maskmov, so each span's framebuffer access is
 // exactly the single-span path's.
-template <bool Additive>
 DCSN_TARGET_AVX2 inline void avx2_pair_block(float* dst_a, float* dst_b,
                                              const Avx2Span& v, std::size_t na,
                                              std::size_t nb) {
@@ -550,13 +384,8 @@ DCSN_TARGET_AVX2 inline void avx2_pair_block(float* dst_a, float* dst_b,
   const __m128 db = _mm_maskload_ps(dst_b, im_b);
   const __m256 d =
       _mm256_insertf128_ps(_mm256_castps128_ps256(da), db, 1);
-  __m256 out;
-  if constexpr (Additive) {
-    // determinism: lattice-exact — avx2_span_value returns quantized lanes
-    out = _mm256_add_ps(d, value);
-  } else {
-    out = _mm256_blendv_ps(d, value, _mm256_cmp_ps(d, value, _CMP_LT_OQ));
-  }
+  // determinism: lattice-exact — avx2_span_value returns quantized lanes
+  const __m256 out = _mm256_add_ps(d, value);
   _mm_maskstore_ps(dst_a, im_a, _mm256_castps256_ps128(out));
   _mm_maskstore_ps(dst_b, im_b, _mm256_extractf128_ps(out, 1));
 }
@@ -625,11 +454,11 @@ DCSN_TARGET_AVX2 inline Avx2Span avx2_tail_span(const Avx2Tail& t) {
   return v;
 }
 
-// The batched sampler: full blocks run immediately; every 1..4-lane
-// remainder — a short span or a multi-block span's tail — is parked and
-// packed in pairs (see Avx2Tail above). A remainder of 5..8 lanes fills a
-// block well enough on its own.
-template <bool Additive>
+// The batched sampler: full eight-lane blocks run immediately while more
+// than one block remains; every 1..4-lane remainder — a short span or a
+// multi-block span's tail — is parked and packed in pairs (see Avx2Tail
+// above). A remainder of 5..8 lanes fills a masked block well enough on its
+// own.
 void DCSN_TARGET_AVX2 sample_rows_avx2(float* const* dst, const SampleSpan* spans,
                                        const std::uint32_t* lens,
                                        std::size_t count) {
@@ -647,21 +476,15 @@ void DCSN_TARGET_AVX2 sample_rows_avx2(float* const* dst, const SampleSpan* span
       do {
         const __m256 value = avx2_span_value(v, full);
         const __m256 dv = _mm256_loadu_ps(d);
-        if constexpr (Additive) {
-          // determinism: lattice-exact — avx2_span_value returns quantized
-          _mm256_storeu_ps(d, _mm256_add_ps(dv, value));
-        } else {
-          _mm256_storeu_ps(
-              d, _mm256_blendv_ps(dv, value,
-                                  _mm256_cmp_ps(dv, value, _CMP_LT_OQ)));
-        }
+        // determinism: lattice-exact — avx2_span_value returns quantized
+        _mm256_storeu_ps(d, _mm256_add_ps(dv, value));
         avx2_span_advance(v);
         d += 8;
         n -= 8;
       } while (n > 8);
     }
     if (n > 4) {
-      avx2_masked_block<Additive>(d, v, n);
+      avx2_masked_block(d, v, n);
       continue;
     }
     if (!pending) {
@@ -671,28 +494,21 @@ void DCSN_TARGET_AVX2 sample_rows_avx2(float* const* dst, const SampleSpan* span
     }
     if (pend.table == s.table && pend.stride == s.stride) {
       const Avx2Span m = avx2_merge_tails(pend, v);
-      avx2_pair_block<Additive>(pend.dst, d, m, pend.rem, n);
+      avx2_pair_block(pend.dst, d, m, pend.rem, n);
       pending = false;
     } else {  // different profiles in one batch — flush singly, park anew
       const Avx2Span pv = avx2_tail_span(pend);
-      avx2_masked_block<Additive>(pend.dst, pv, pend.rem);
+      avx2_masked_block(pend.dst, pv, pend.rem);
       avx2_park_tail(pend, d, v, s, n);
     }
   }
   if (pending) {
     const Avx2Span pv = avx2_tail_span(pend);
-    avx2_masked_block<Additive>(pend.dst, pv, pend.rem);
+    avx2_masked_block(pend.dst, pv, pend.rem);
   }
 }
 
-constexpr KernelTable kAvx2Table = {
-    &add_avx2,        &add_scaled_avx2,
-    &max_scaled_avx2, &max_with_avx2,
-    &quantize_avx2,   &sample_row_avx2<true>,
-    &sample_row_avx2<false>,
-    &sample_rows_avx2<true>,
-    &sample_rows_avx2<false>,
-};
+constexpr KernelTable kAvx2Table = {&add_avx2, &sample_rows_avx2};
 
 #endif  // __x86_64__
 

@@ -2,25 +2,24 @@
 //
 // util/simd.hpp holds the portable reference kernels: `#pragma omp simd`
 // loops whose vectorization is at the compiler's mercy. This layer adds
-// hand-written SSE2 / AVX2 implementations of the same kernels plus the
-// fused span sampler the SoA rasterizer refactor enables, selected once at
-// startup from CPU feature detection (CPUID on x86-64; other architectures
-// run the scalar tier) — the binary needs no -march flags and still runs the
-// widest ISA the host offers.
+// hand-written SSE2 / AVX2 implementations of the two kernels the renderer
+// calls — the framebuffer gather `add` and the batched span sampler
+// `sample_rows_add` the rasterizer flushes its spans through — selected once
+// at startup from CPU feature detection (CPUID on x86-64; other
+// architectures run the scalar tier). The binary needs no -march flags and
+// still runs the widest ISA the host offers.
 //
 // Determinism contract: every tier is pinned to the scalar expressions
 // BIT-FOR-BIT. The contribution-lattice snap (util/simd.hpp) is the magic-
 // constant round `((x + 1.5*2^23) - 1.5*2^23) * 2^-17`, three IEEE
 // single-rounded operations — a vector lane performs the identical
-// operations on the identical bits, so the snap vectorizes exactly. Maximum
-// blending is spelled as the same `dst < s ? s : dst` comparison (NaN and
-// -0.0 behaviour included; never the ISA's min/max instruction, whose NaN
-// rules differ). FMA is *never* used, not even on tiers that have it: a
-// fused multiply-add rounds once where the scalar expression rounds twice,
-// which would break lattice exactness and with it every golden hash,
-// incremental-reuse proof and delta stream. The cross-tier byte-equality
-// suite (tests/test_simd.cpp, ctest -L simd) and the per-tier golden runs
-// (scripts/verify.sh --simd-tiers) enforce all of this.
+// operations on the identical bits, so the snap vectorizes exactly. FMA is
+// *never* used, not even on tiers that have it: a fused multiply-add rounds
+// once where the scalar expression rounds twice, which would break lattice
+// exactness and with it every golden hash, incremental-reuse proof and
+// delta stream. The cross-tier byte-equality suite (tests/test_simd.cpp,
+// ctest -L simd) and the per-tier golden runs (scripts/verify.sh
+// --simd-tiers) enforce all of this.
 //
 // Thread safety: the active tier is read with an atomic load and written
 // only by startup init or set_active_tier() (tests/benches, between renders
@@ -55,32 +54,21 @@ struct SampleSpan {
   float weight = 0.0f;           ///< spot intensity, applied pre-quantize
 };
 
-/// One tier's kernel set. All pointers are non-null in every table.
-/// Preconditions match the scalar kernels: dst/src never alias, and for the
-/// sample_row kernels every fragment position in [0, n) lies inside the
-/// table (the rasterizer's in-range sub-span solve guarantees it).
+/// One tier's kernel set: exactly what the renderer calls. All pointers are
+/// non-null in every table.
 struct KernelTable {
+  /// dst[k] += src[k] — the framebuffer gather. dst and src never alias.
   void (*add)(float* dst, const float* src, std::size_t n);
-  void (*add_scaled)(float* dst, const float* src, float w, std::size_t n);
-  void (*max_scaled)(float* dst, const float* src, float w, std::size_t n);
-  void (*max_with)(float* dst, float v, std::size_t n);
-  void (*quantize_span)(float* dst, const float* src, std::size_t n);
-  /// dst[k] += quantize(weight * bilinear(fx0 + k*dfx, fy0 + k*dfy))
-  void (*sample_row_add)(float* dst, const SampleSpan& span, std::size_t n);
-  /// dst[k] = max(dst[k], quantize(weight * bilinear(...))), max spelled
-  /// as the scalar comparison.
-  void (*sample_row_max)(float* dst, const SampleSpan& span, std::size_t n);
-  /// Batched sample_row_add: span i blends into dst[i][0..lens[i]).
-  /// PRECONDITION: the spans of one batch never alias (the rasterizer
-  /// batches one triangle's rows — distinct framebuffer rows). That makes
-  /// the result byte-identical to calling sample_row_add span by span in
-  /// ANY order, and tiers exploit it: a tier may reorder the batch (e.g. to
-  /// peel branch-free span-length classes) and keep its lane constants
-  /// resident across the whole batch.
+  /// Span i blends into dst[i][0..lens[i]):
+  ///   dst[i][k] += quantize(weight * bilinear(fx0 + k*dfx, fy0 + k*dfy)).
+  /// PRECONDITIONS: every fragment position lies inside the table (the
+  /// rasterizer's in-range sub-span solve guarantees it), and the spans of
+  /// one batch never alias (the rasterizer batches one triangle's rows —
+  /// distinct framebuffer rows). The latter makes the result byte-identical
+  /// to calling the kernel one span at a time in ANY order, and tiers
+  /// exploit it: a tier may reorder the batch (e.g. to pack short spans in
+  /// pairs) and keep its lane constants resident across the whole batch.
   void (*sample_rows_add)(float* const* dst, const SampleSpan* spans,
-                          const std::uint32_t* lens, std::size_t count);
-  /// Batched sample_row_max, same contract.
-  void (*sample_rows_max)(float* const* dst, const SampleSpan* spans,
                           const std::uint32_t* lens, std::size_t count);
 };
 

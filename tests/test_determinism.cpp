@@ -23,7 +23,8 @@
 // *coverage* but not bit-identical fragment values (the span kernel's
 // affine UV evaluation rounds differently from the reference's barycentric
 // floats — see test_rasterizer.cpp). Determinism therefore holds per
-// algorithm, and every comparison here pins the algorithm explicitly.
+// algorithm. The engine always rasterizes with kSpan; the reference walk is
+// checked at the rasterizer level, where RasterTarget::algorithm selects it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -33,9 +34,11 @@
 #include "core/dnc_synthesizer.hpp"
 #include "core/runtime.hpp"
 #include "core/serial_synthesizer.hpp"
+#include "core/spot_geometry.hpp"
 #include "core/spot_source.hpp"
 #include "core/tile_store.hpp"
 #include "field/analytic.hpp"
+#include "render/rasterizer.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -207,18 +210,48 @@ TEST(Determinism, SerialThreadCountDoesNotChangeBits) {
 // ------------------------------------------------------ reference walk ---
 
 TEST(Determinism, ReferenceAlgorithmIsDeterministicToo) {
-  // The invariants are algorithm-independent; pin them for the bbox walk.
+  // The invariants are algorithm-independent; pin them for the bbox walk on
+  // one scene's geometry: one full target, four tiles with integral origins
+  // and the lattice sum of two half-buffer renders give the same bits.
   const Scene scene = make_scene(core::SpotKind::kEllipse);
-  DncConfig dnc = base_config();
-  dnc.raster_algorithm = render::RasterAlgorithm::kReference;
-  dnc.pipes = 1;
-  dnc.processors = 1;
-  const render::Framebuffer one_pipe = run(scene, dnc);
-  dnc.pipes = 4;
-  dnc.processors = 8;
-  EXPECT_EQ(one_pipe, run(scene, dnc));
-  dnc.tiled = true;
-  EXPECT_EQ(one_pipe, run(scene, dnc));
+  const core::SpotGeometryGenerator generator(scene.synthesis, *scene.field);
+  const render::SpotProfile profile(scene.synthesis.profile_shape,
+                                    scene.synthesis.profile_resolution);
+  const auto render_ref = [&](render::Framebuffer& fb, int x0, int y0,
+                              std::span<const core::SpotInstance> spots) {
+    render::CommandBuffer buffer;
+    generator.generate_all(spots, buffer);
+    render::RasterStats stats;
+    render::rasterize_buffer({fb.pixels(), x0, y0, render::RasterAlgorithm::kReference},
+                             buffer, profile, stats);
+  };
+  const int width = scene.synthesis.texture_width;
+  const int height = scene.synthesis.texture_height;
+  render::Framebuffer full(width, height);
+  render_ref(full, 0, 0, scene.spots);
+
+  // Uneven cuts, so no tile edge sits on the texture's midlines.
+  const int cut_x = 37;
+  const int cut_y = 58;
+  render::Framebuffer stitched(width, height);
+  for (const int x0 : {0, cut_x}) {
+    for (const int y0 : {0, cut_y}) {
+      render::Framebuffer tile(x0 == 0 ? cut_x : width - cut_x,
+                               y0 == 0 ? cut_y : height - cut_y);
+      render_ref(tile, x0, y0, scene.spots);
+      stitched.copy_rect_from(tile, x0, y0);
+    }
+  }
+  EXPECT_EQ(full, stitched) << "four tiles";
+
+  const std::span<const core::SpotInstance> spots(scene.spots);
+  const std::size_t half = spots.size() / 2;
+  render::Framebuffer sum(width, height);
+  render::Framebuffer second(width, height);
+  render_ref(sum, 0, 0, spots.first(half));
+  render_ref(second, 0, 0, spots.subspan(half));
+  sum.accumulate(second);
+  EXPECT_EQ(full, sum) << "lattice sum of two half-buffer renders";
 }
 
 // ------------------------------------------------ content-addressed cache ---

@@ -190,8 +190,7 @@ TEST(EdgeCases, RasterizerSurvivesInfiniteCoordinates) {
   const render::MeshVertex a{inf, 1, 0.5f, 0.5f}, b{5, 1, 0.5f, 0.5f},
       c{3, 6, 0.5f, 0.5f};
   EXPECT_NO_THROW(render::rasterize_triangle({fb.pixels(), 0, 0}, a, b, c, 1.0f,
-                                             profile, render::BlendMode::kAdditive,
-                                             stats));
+                                             profile, stats));
   EXPECT_EQ(stats.fragments, 0);
 }
 
@@ -202,8 +201,7 @@ TEST(EdgeCases, RasterizerHugeOffscreenTriangle) {
   render::RasterStats stats;
   const render::MeshVertex a{1e7f, 1e7f, 0, 0}, b{2e7f, 1e7f, 1, 0},
       c{1e7f, 2e7f, 0, 1};
-  render::rasterize_triangle({fb.pixels(), 0, 0}, a, b, c, 1.0f, profile,
-                             render::BlendMode::kAdditive, stats);
+  render::rasterize_triangle({fb.pixels(), 0, 0}, a, b, c, 1.0f, profile, stats);
   EXPECT_EQ(stats.fragments, 0);
 }
 

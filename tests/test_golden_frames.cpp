@@ -1,10 +1,11 @@
 // Golden-frame regression: canonical scenes rendered through the full
-// engine, fingerprinted with util::fnv1a over the width, the height and the
-// raw float pixels (in that order), and compared against hashes checked in
-// under tests/golden/. The fingerprint is computed here rather than through
-// Framebuffer::content_hash, which uses the faster util::lane_hash: the
-// checked-in files pin this FNV fingerprint, so a change to the wire hash
-// never touches them.
+// engine (or, for the two *_reference scenes, through the bbox-walk
+// rasterizer oracle), fingerprinted with util::fnv1a over the width, the
+// height and the raw float pixels (in that order), and compared against
+// hashes checked in under tests/golden/. The fingerprint is computed here
+// rather than through Framebuffer::content_hash, which uses the faster
+// util::lane_hash: the checked-in files pin this FNV fingerprint, so a
+// change to the wire hash never touches them.
 //
 // This only works because the engine is bit-deterministic for a fixed
 // configuration (see test_determinism.cpp): reruns, thread interleavings
@@ -22,7 +23,11 @@
 //
 // The scene matrix deliberately crosses both raster algorithms and both
 // tile strategies with the three field families (analytic, curvilinear,
-// volume slice) and all three spot kinds.
+// volume slice) and all three spot kinds. The engine always rasterizes with
+// kSpan, so the two reference scenes rasterize the scene's generated
+// geometry with kReference into one full-texture target. The contribution
+// lattice makes that bit-identical to the pipe counts and tile layouts
+// their names record, which is how their golden files were first rendered.
 //
 // ctest label: golden.
 #include <gtest/gtest.h>
@@ -35,11 +40,13 @@
 #include <vector>
 
 #include "core/dnc_synthesizer.hpp"
+#include "core/spot_geometry.hpp"
 #include "core/spot_source.hpp"
 #include "field/analytic.hpp"
 #include "field/curvilinear.hpp"
 #include "field/volume.hpp"
 #include "render/framebuffer.hpp"
+#include "render/rasterizer.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -54,7 +61,6 @@ using core::DncConfig;
 using core::DncSynthesizer;
 using core::SynthesisConfig;
 using core::TileStrategy;
-using render::RasterAlgorithm;
 
 bool g_update_goldens = false;
 
@@ -76,20 +82,17 @@ std::uint64_t golden_fingerprint(const render::Framebuffer& fb) {
   return util::fnv1a(fb.pixels().data(), fb.byte_size(), h);
 }
 
-// Renders a scene and checks (or rewrites) its golden hash.
-void check_scene(const std::string& scene, const field::VectorField& f,
-                 const SynthesisConfig& sc, const DncConfig& dnc) {
+std::vector<core::SpotInstance> scene_spots(const field::VectorField& f,
+                                            const SynthesisConfig& sc) {
   util::Rng rng(20260730);
   auto spots = core::make_random_spots(f.domain(), sc.spot_count, rng);
   for (auto& s : spots) s.intensity *= 0.2;
+  return spots;
+}
 
-  DncSynthesizer engine(sc, dnc);
-  // Two frames: the second exercises warm pipe state and (for
-  // kCostBalanced) the settled tile layout, which is what animation runs
-  // actually hash like.
-  engine.synthesize(f, spots);
-  engine.synthesize(f, spots);
-  const std::string actual = hex64(golden_fingerprint(engine.texture()));
+// Checks (or rewrites) a scene's golden hash.
+void check_frame(const std::string& scene, const render::Framebuffer& frame) {
+  const std::string actual = hex64(golden_fingerprint(frame));
 
   const std::string path = golden_path(scene);
   if (g_update_goldens) {
@@ -112,6 +115,34 @@ void check_scene(const std::string& scene, const field::VectorField& f,
          "changed), regenerate with --update-goldens and review the diff.";
 }
 
+// Renders a scene through the engine.
+void check_scene(const std::string& scene, const field::VectorField& f,
+                 const SynthesisConfig& sc, const DncConfig& dnc) {
+  const auto spots = scene_spots(f, sc);
+  DncSynthesizer engine(sc, dnc);
+  // Two frames: the second exercises warm pipe state and (for
+  // kCostBalanced) the settled tile layout, which is what animation runs
+  // actually hash like.
+  engine.synthesize(f, spots);
+  engine.synthesize(f, spots);
+  check_frame(scene, engine.texture());
+}
+
+// Renders a scene's geometry with the bbox-walk oracle into one
+// full-texture target.
+void check_reference_scene(const std::string& scene, const field::VectorField& f,
+                           const SynthesisConfig& sc) {
+  const core::SpotGeometryGenerator generator(sc, f);
+  render::CommandBuffer buffer;
+  generator.generate_all(scene_spots(f, sc), buffer);
+  const render::SpotProfile profile(sc.profile_shape, sc.profile_resolution);
+  render::Framebuffer frame(sc.texture_width, sc.texture_height);
+  render::RasterStats stats;
+  render::rasterize_buffer({frame.pixels(), 0, 0, render::RasterAlgorithm::kReference},
+                           buffer, profile, stats);
+  check_frame(scene, frame);
+}
+
 SynthesisConfig base_synthesis(core::SpotKind kind) {
   SynthesisConfig sc;
   sc.texture_width = 96;
@@ -125,15 +156,13 @@ SynthesisConfig base_synthesis(core::SpotKind kind) {
   return sc;
 }
 
-DncConfig config(int pipes, bool tiled, TileStrategy strategy,
-                 RasterAlgorithm algo) {
+DncConfig config(int pipes, bool tiled, TileStrategy strategy) {
   DncConfig dnc;
   dnc.processors = 2 * pipes;
   dnc.pipes = pipes;
   dnc.chunk_spots = 16;
   dnc.tiled = tiled;
   dnc.tile_strategy = strategy;
-  dnc.raster_algorithm = algo;
   return dnc;
 }
 
@@ -144,7 +173,7 @@ TEST(GoldenFrames, VortexEllipseContiguousSpan) {
   const auto f = field::analytic::rankine_vortex({2.0, 2.0}, 1.5, 1.0, domain);
   check_scene("vortex_ellipse_contiguous_span", *f,
               base_synthesis(core::SpotKind::kEllipse),
-              config(2, false, TileStrategy::kGrid, RasterAlgorithm::kSpan));
+              config(2, false, TileStrategy::kGrid));
 }
 
 TEST(GoldenFrames, ShearPointTiledGridSpan) {
@@ -152,7 +181,7 @@ TEST(GoldenFrames, ShearPointTiledGridSpan) {
   const auto f = field::analytic::shear(0.8, domain);
   check_scene("shear_point_tiled_grid_span", *f,
               base_synthesis(core::SpotKind::kPoint),
-              config(4, true, TileStrategy::kGrid, RasterAlgorithm::kSpan));
+              config(4, true, TileStrategy::kGrid));
 }
 
 TEST(GoldenFrames, BentGridBentCostBalancedSpan) {
@@ -165,16 +194,15 @@ TEST(GoldenFrames, BentGridBentCostBalancedSpan) {
   f.fill([](field::Vec2 p) { return field::Vec2{0.5 + 0.1 * p.y, 0.3}; });
   check_scene("bentgrid_bent_costbalanced_span", f,
               base_synthesis(core::SpotKind::kBent),
-              config(2, true, TileStrategy::kCostBalanced, RasterAlgorithm::kSpan));
+              config(2, true, TileStrategy::kCostBalanced));
 }
 
 TEST(GoldenFrames, VolumeSliceEllipseContiguousReference) {
   const auto volume = field::analytic3d::abc_flow(1.0, 0.7, 0.43, 12);
   const auto slice =
       field::extract_slice(volume, field::SliceAxis::kZ, 3.14159, 24, 24);
-  check_scene("volume_slice_ellipse_contiguous_reference", slice,
-              base_synthesis(core::SpotKind::kEllipse),
-              config(2, false, TileStrategy::kGrid, RasterAlgorithm::kReference));
+  check_reference_scene("volume_slice_ellipse_contiguous_reference", slice,
+                        base_synthesis(core::SpotKind::kEllipse));
 }
 
 TEST(GoldenFrames, VortexBentContiguousSpan) {
@@ -182,16 +210,14 @@ TEST(GoldenFrames, VortexBentContiguousSpan) {
   const auto f = field::analytic::rankine_vortex({2.0, 2.0}, 1.5, 1.0, domain);
   check_scene("vortex_bent_contiguous_span", *f,
               base_synthesis(core::SpotKind::kBent),
-              config(2, false, TileStrategy::kGrid, RasterAlgorithm::kSpan));
+              config(2, false, TileStrategy::kGrid));
 }
 
 TEST(GoldenFrames, ShearEllipseCostBalancedReference) {
   const field::Rect domain{0.0, 0.0, 4.0, 4.0};
   const auto f = field::analytic::shear(0.8, domain);
-  check_scene("shear_ellipse_costbalanced_reference", *f,
-              base_synthesis(core::SpotKind::kEllipse),
-              config(4, true, TileStrategy::kCostBalanced,
-                     RasterAlgorithm::kReference));
+  check_reference_scene("shear_ellipse_costbalanced_reference", *f,
+                        base_synthesis(core::SpotKind::kEllipse));
 }
 
 }  // namespace

@@ -249,7 +249,6 @@ TEST(NetProtocol, OpenSessionSimulatorKnobsDecodeToDefaults) {
   msg.dnc.state_change_seconds = 1e9;
   msg.dnc.bus_bytes_per_second = 1e-300;
   msg.dnc.steal = false;
-  msg.dnc.raster_algorithm = render::RasterAlgorithm::kReference;
 
   const auto payload = msg.encode();
   WireReader r(payload);
@@ -259,7 +258,6 @@ TEST(NetProtocol, OpenSessionSimulatorKnobsDecodeToDefaults) {
   EXPECT_EQ(back.dnc.state_change_seconds, defaults.state_change_seconds);
   EXPECT_EQ(back.dnc.bus_bytes_per_second, defaults.bus_bytes_per_second);
   EXPECT_EQ(back.dnc.steal, defaults.steal);
-  EXPECT_EQ(back.dnc.raster_algorithm, defaults.raster_algorithm);
 }
 
 TEST(NetProtocol, OpenSessionRejectsTooManyProcessors) {

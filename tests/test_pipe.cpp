@@ -148,7 +148,7 @@ TEST(GraphicsPipe, StateChangesAreCharged) {
   render::GraphicsPipe pipe(pc, nullptr);
   pipe.reset_stats();
   pipe.bind_profile(render::SpotProfile::make_shared(render::SpotShape::kDisc));
-  pipe.set_blend_mode(render::BlendMode::kAdditive);
+  pipe.bind_profile(render::SpotProfile::make_shared(render::SpotShape::kGaussian));
   pipe.finish();
   const auto stats = pipe.stats();
   EXPECT_EQ(stats.state_changes, 2);

@@ -186,8 +186,7 @@ TEST_P(MeshCoverage, EveryCoveredPixelBlendedOnce) {
           4.0f + 48.0f * static_cast<float>(i) / (cols - 1),
           4.0f + 48.0f * static_cast<float>(j) / (rows - 1), 0.5f, 0.5f};
   render::RasterStats stats;
-  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile,
-                           render::BlendMode::kAdditive, stats);
+  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile, stats);
   const float expected = fb.at(20, 20);
   ASSERT_NE(expected, 0.0f);
   std::int64_t covered = 0;

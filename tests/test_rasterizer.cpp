@@ -14,7 +14,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/dnc_synthesizer.hpp"
+#include "core/spot_geometry.hpp"
 #include "core/spot_source.hpp"
 #include "field/analytic.hpp"
 #include "render/framebuffer.hpp"
@@ -24,7 +24,6 @@
 
 namespace {
 
-using dcsn::render::BlendMode;
 using dcsn::render::Framebuffer;
 using dcsn::render::MeshVertex;
 using dcsn::render::RasterAlgorithm;
@@ -56,13 +55,12 @@ struct TriRun {
 };
 
 TriRun run_triangle(RasterAlgorithm algo, const MeshVertex& a, const MeshVertex& b,
-                    const MeshVertex& c, const SpotProfile& profile,
-                    BlendMode mode = BlendMode::kAdditive, float weight = 1.0f,
+                    const MeshVertex& c, const SpotProfile& profile, float weight = 1.0f,
                     int w = 64, int h = 48, float clear = 0.0f) {
   TriRun run{Framebuffer(w, h), {}};
   run.fb.clear(clear);
   const RasterTarget target{run.fb.pixels(), 0, 0, algo};
-  dcsn::render::rasterize_triangle(target, a, b, c, weight, profile, mode, run.stats);
+  dcsn::render::rasterize_triangle(target, a, b, c, weight, profile, run.stats);
   return run;
 }
 
@@ -94,16 +92,14 @@ void expect_equivalent(const MeshVertex& a, const MeshVertex& b, const MeshVerte
   EXPECT_LE(span.stats.pixels_visited, ref.stats.pixels_visited) << label;
   EXPECT_TRUE(ref.fb == span.fb) << label << ": coverage masks differ";
 
-  // Values: the original (possibly interpolating) UVs under both blends.
+  // Values: the original (possibly interpolating) UVs.
   static const SpotProfile smooth(SpotShape::kCosine, 64);
-  for (const BlendMode mode : {BlendMode::kAdditive, BlendMode::kMaximum}) {
-    const TriRun vref = run_triangle(RasterAlgorithm::kReference, a, b, c, smooth,
-                                     mode, 0.8f, 64, 48, -0.01f);
-    const TriRun vspan = run_triangle(RasterAlgorithm::kSpan, a, b, c, smooth, mode,
-                                      0.8f, 64, 48, -0.01f);
-    EXPECT_EQ(vref.stats.fragments, vspan.stats.fragments) << label;
-    EXPECT_LE(max_abs_diff(vref.fb, vspan.fb), value_tolerance) << label;
-  }
+  const TriRun vref = run_triangle(RasterAlgorithm::kReference, a, b, c, smooth, 0.8f,
+                                   64, 48, -0.01f);
+  const TriRun vspan =
+      run_triangle(RasterAlgorithm::kSpan, a, b, c, smooth, 0.8f, 64, 48, -0.01f);
+  EXPECT_EQ(vref.stats.fragments, vspan.stats.fragments) << label;
+  EXPECT_LE(max_abs_diff(vref.fb, vspan.fb), value_tolerance) << label;
 }
 
 // A served animation frame's spot mesh: a 16x3 ribbon of 3 px half-width
@@ -316,9 +312,9 @@ void expect_watertight_rect(RasterAlgorithm algo, float x0, float y0, float x1,
   const MeshVertex v11 = vtx(x1, y1);
   const MeshVertex v01 = vtx(x0, y1);
   dcsn::render::rasterize_triangle(target, v00, v10, v11, 1.0f, coverage_profile(),
-                                   BlendMode::kAdditive, stats);
+                                   stats);
   dcsn::render::rasterize_triangle(target, v00, v11, v01, 1.0f, coverage_profile(),
-                                   BlendMode::kAdditive, stats);
+                                   stats);
   const float q = coverage_quantum();
   for (int y = 0; y < fb.height(); ++y) {
     for (int x = 0; x < fb.width(); ++x) {
@@ -375,10 +371,8 @@ TEST(SpanWatertight, SharedEdgeTrianglePairsNeverDoubleBlend) {
       Framebuffer fb(64, 48);
       RasterStats stats;
       const RasterTarget target{fb.pixels(), 0, 0, algo};
-      dcsn::render::rasterize_triangle(target, p, r, s, 1.0f, coverage_profile(),
-                                       BlendMode::kAdditive, stats);
-      dcsn::render::rasterize_triangle(target, r, p, t, 1.0f, coverage_profile(),
-                                       BlendMode::kAdditive, stats);
+      dcsn::render::rasterize_triangle(target, p, r, s, 1.0f, coverage_profile(), stats);
+      dcsn::render::rasterize_triangle(target, r, p, t, 1.0f, coverage_profile(), stats);
       for (int y = 0; y < fb.height(); ++y) {
         for (int x = 0; x < fb.width(); ++x) {
           const float value = fb.at(x, y);
@@ -428,11 +422,9 @@ TEST(SpanEquivalence, BentRibbonMesh) {
   Framebuffer ref_fb(64, 48), span_fb(64, 48);
   RasterStats ref_stats, span_stats;
   dcsn::render::rasterize_mesh({ref_fb.pixels(), 0, 0, RasterAlgorithm::kReference},
-                               vertices, cols, rows, 0.7f, profile,
-                               BlendMode::kAdditive, ref_stats);
+                               vertices, cols, rows, 0.7f, profile, ref_stats);
   dcsn::render::rasterize_mesh({span_fb.pixels(), 0, 0, RasterAlgorithm::kSpan},
-                               vertices, cols, rows, 0.7f, profile,
-                               BlendMode::kAdditive, span_stats);
+                               vertices, cols, rows, 0.7f, profile, span_stats);
   EXPECT_EQ(ref_stats.fragments, span_stats.fragments);
   EXPECT_EQ(ref_stats.quads, (cols - 1) * (rows - 1));
   EXPECT_GT(span_stats.fragments, 0);
@@ -514,13 +506,11 @@ TEST(SpanEquivalence, TileClippedSpansMatchFullTargetBitwise) {
       Framebuffer full(64, 64);
       RasterStats full_stats;
       dcsn::render::rasterize_triangle({full.pixels(), 0, 0, algo}, a, b, c,
-                                       weight, profile, BlendMode::kAdditive,
-                                       full_stats);
+                                       weight, profile, full_stats);
       Framebuffer tile(32, 64);
       RasterStats tile_stats;
       dcsn::render::rasterize_triangle({tile.pixels(), 32, 0, algo}, a, b, c,
-                                       weight, profile, BlendMode::kAdditive,
-                                       tile_stats);
+                                       weight, profile, tile_stats);
       for (int y = 0; y < 64; ++y) {
         for (int x = 0; x < 32; ++x) {
           ASSERT_EQ(full.at(x + 32, y), tile.at(x, y))
@@ -550,11 +540,11 @@ TEST(SpanEquivalence, TileClippedSpansMatchFullTargetBitwise) {
       Framebuffer right(32, 64);
       RasterStats stats;
       dcsn::render::rasterize_triangle({full.pixels(), 0, 0, algo}, a, b, c, weight,
-                                       profile, BlendMode::kAdditive, stats);
+                                       profile, stats);
       dcsn::render::rasterize_triangle({left.pixels(), 0, 0, algo}, a, b, c, weight,
-                                       profile, BlendMode::kAdditive, stats);
+                                       profile, stats);
       dcsn::render::rasterize_triangle({right.pixels(), 32, 0, algo}, a, b, c, weight,
-                                       profile, BlendMode::kAdditive, stats);
+                                       profile, stats);
       for (int y = 0; y < 64; ++y) {
         for (int x = 0; x < 32; ++x) {
           ASSERT_EQ(full.at(x, y), left.at(x, y))
@@ -575,30 +565,28 @@ TEST(SpanEquivalence, TileClippedSpansMatchFullTargetBitwise) {
     for (int i = 0; i < 60; ++i) {
       const auto ribbon = tiny_ribbon(rng, 22.0, 42.0, 4.0, 60.0);
       const auto weight = static_cast<float>(rng.uniform(-1.0, 1.0));
-      for (const BlendMode mode : {BlendMode::kAdditive, BlendMode::kMaximum}) {
-        Framebuffer full(64, 64);
-        Framebuffer tile(32, 64);
-        Framebuffer by_triangle(64, 64);
-        RasterStats stats;
-        dcsn::render::rasterize_mesh({full.pixels(), 0, 0, algo}, ribbon, kTinyCols,
-                                     kTinyRows, weight, profile, mode, stats);
-        dcsn::render::rasterize_mesh({tile.pixels(), 32, 0, algo}, ribbon, kTinyCols,
-                                     kTinyRows, weight, profile, mode, stats);
-        for_each_triangle(ribbon, kTinyCols, kTinyRows,
-                          [&](const MeshVertex& a, const MeshVertex& b,
-                              const MeshVertex& c) {
-                            dcsn::render::rasterize_triangle(
-                                {by_triangle.pixels(), 0, 0, algo}, a, b, c, weight,
-                                profile, mode, stats);
-                          });
-        ASSERT_TRUE(full == by_triangle)
-            << "algo " << static_cast<int>(algo) << " ribbon " << i;
-        for (int y = 0; y < 64; ++y) {
-          for (int x = 0; x < 32; ++x) {
-            ASSERT_EQ(full.at(x + 32, y), tile.at(x, y))
-                << "algo " << static_cast<int>(algo) << " ribbon " << i
-                << " pixel (" << x << ", " << y << ")";
-          }
+      Framebuffer full(64, 64);
+      Framebuffer tile(32, 64);
+      Framebuffer by_triangle(64, 64);
+      RasterStats stats;
+      dcsn::render::rasterize_mesh({full.pixels(), 0, 0, algo}, ribbon, kTinyCols,
+                                   kTinyRows, weight, profile, stats);
+      dcsn::render::rasterize_mesh({tile.pixels(), 32, 0, algo}, ribbon, kTinyCols,
+                                   kTinyRows, weight, profile, stats);
+      for_each_triangle(ribbon, kTinyCols, kTinyRows,
+                        [&](const MeshVertex& a, const MeshVertex& b,
+                            const MeshVertex& c) {
+                          dcsn::render::rasterize_triangle(
+                              {by_triangle.pixels(), 0, 0, algo}, a, b, c, weight,
+                              profile, stats);
+                        });
+      ASSERT_TRUE(full == by_triangle)
+          << "algo " << static_cast<int>(algo) << " ribbon " << i;
+      for (int y = 0; y < 64; ++y) {
+        for (int x = 0; x < 32; ++x) {
+          ASSERT_EQ(full.at(x + 32, y), tile.at(x, y))
+              << "algo " << static_cast<int>(algo) << " ribbon " << i
+              << " pixel (" << x << ", " << y << ")";
         }
       }
     }
@@ -606,8 +594,9 @@ TEST(SpanEquivalence, TileClippedSpansMatchFullTargetBitwise) {
 }
 
 TEST(SpanIntegration, SynthesizerAlgorithmEquivalence) {
-  // Whole-engine check: the DnC synthesizer produces the same texture (to
-  // row-sampler tolerance) whichever algorithm the pipes rasterize with.
+  // Whole-scene check: the bent-spot geometry the synthesizers generate
+  // renders to the same texture (to row-sampler tolerance) under either
+  // algorithm.
   const auto field = dcsn::field::analytic::rankine_vortex(
       {0.5, 0.5}, 1.0, 0.3, dcsn::field::Rect{0.0, 0.0, 1.0, 1.0});
   dcsn::core::SynthesisConfig synthesis;
@@ -622,18 +611,18 @@ TEST(SpanIntegration, SynthesizerAlgorithmEquivalence) {
   dcsn::util::Rng rng(7);
   const auto spots =
       dcsn::core::make_random_spots(field->domain(), synthesis.spot_count, rng);
+  dcsn::render::CommandBuffer geometry;
+  dcsn::core::SpotGeometryGenerator(synthesis, *field).generate_all(spots, geometry);
+  const SpotProfile profile(synthesis.profile_shape, synthesis.profile_resolution);
 
   Framebuffer textures[2];
   const RasterAlgorithm algos[2] = {RasterAlgorithm::kReference,
                                     RasterAlgorithm::kSpan};
   for (int k = 0; k < 2; ++k) {
-    dcsn::core::DncConfig dnc;
-    dnc.processors = 2;
-    dnc.pipes = 1;
-    dnc.raster_algorithm = algos[k];
-    dcsn::core::DncSynthesizer engine(synthesis, dnc);
-    (void)engine.synthesize(*field, spots);
-    textures[k] = engine.texture();
+    textures[k] = Framebuffer(synthesis.texture_width, synthesis.texture_height);
+    RasterStats stats;
+    dcsn::render::rasterize_buffer({textures[k].pixels(), 0, 0, algos[k]}, geometry,
+                                   profile, stats);
   }
   EXPECT_LE(max_abs_diff(textures[0], textures[1]), 1e-4f);
 }

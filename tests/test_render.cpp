@@ -13,7 +13,6 @@
 #include "render/overlay.hpp"
 #include "render/rasterizer.hpp"
 #include "render/spot_profile.hpp"
-#include "util/simd.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -203,8 +202,7 @@ render::Framebuffer raster_rect(int fbw, int fbh, float x0, float y0, float x1,
   v[2] = {x0, y1, 0.5f, 0.5f};
   v[3] = {x1, y1, 0.5f, 0.5f};
   render::RasterStats stats;
-  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile,
-                           render::BlendMode::kAdditive, stats);
+  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile, stats);
   return fb;
 }
 
@@ -241,8 +239,7 @@ TEST(Rasterizer, SharedQuadEdgeBlendsEachPixelOnce) {
   v[4] = {8.0f, 10.0f, 0.5f, 0.5f};
   v[5] = {14.0f, 10.0f, 0.5f, 0.5f};
   render::RasterStats stats;
-  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile,
-                           render::BlendMode::kAdditive, stats);
+  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile, stats);
   EXPECT_EQ(stats.quads, 2);
   // All covered pixels must carry the same value (single contribution).
   const float value = fb.at(4, 4);
@@ -263,10 +260,8 @@ TEST(Rasterizer, WindingOrderDoesNotMatter) {
   const render::SpotProfile profile = flat_profile();
   const MeshVertex a{2, 2, 0.5f, 0.5f}, b{10, 2, 0.5f, 0.5f}, c{2, 10, 0.5f, 0.5f};
   render::RasterStats stats;
-  render::rasterize_triangle({fb1.pixels(), 0, 0}, a, b, c, 1.0f, profile,
-                             render::BlendMode::kAdditive, stats);
-  render::rasterize_triangle({fb2.pixels(), 0, 0}, a, c, b, 1.0f, profile,
-                             render::BlendMode::kAdditive, stats);
+  render::rasterize_triangle({fb1.pixels(), 0, 0}, a, b, c, 1.0f, profile, stats);
+  render::rasterize_triangle({fb2.pixels(), 0, 0}, a, c, b, 1.0f, profile, stats);
   EXPECT_EQ(count_nonzero(fb1), count_nonzero(fb2));
   EXPECT_GT(count_nonzero(fb1), 20);
 }
@@ -276,8 +271,7 @@ TEST(Rasterizer, DegenerateTriangleIsSkipped) {
   const render::SpotProfile profile = flat_profile();
   render::RasterStats stats;
   const MeshVertex a{1, 1, 0.5f, 0.5f}, b{5, 5, 0.5f, 0.5f};
-  render::rasterize_triangle({fb.pixels(), 0, 0}, a, a, b, 1.0f, profile,
-                             render::BlendMode::kAdditive, stats);
+  render::rasterize_triangle({fb.pixels(), 0, 0}, a, a, b, 1.0f, profile, stats);
   EXPECT_EQ(count_nonzero(fb), 0);
   EXPECT_EQ(stats.fragments, 0);
 }
@@ -288,8 +282,7 @@ TEST(Rasterizer, NonFiniteVerticesAreSkipped) {
   render::RasterStats stats;
   const float nan = std::nanf("");
   const MeshVertex a{nan, 1, 0.5f, 0.5f}, b{5, 1, 0.5f, 0.5f}, c{3, 6, 0.5f, 0.5f};
-  render::rasterize_triangle({fb.pixels(), 0, 0}, a, b, c, 1.0f, profile,
-                             render::BlendMode::kAdditive, stats);
+  render::rasterize_triangle({fb.pixels(), 0, 0}, a, b, c, 1.0f, profile, stats);
   EXPECT_EQ(count_nonzero(fb), 0);
 }
 
@@ -310,8 +303,7 @@ TEST(Rasterizer, ViewportOriginShiftsGeometry) {
   v[2] = {8.0f, 8.0f, 0.5f, 0.5f};
   v[3] = {12.0f, 8.0f, 0.5f, 0.5f};
   render::RasterStats stats;
-  render::rasterize_buffer({tile.pixels(), 8, 4}, buf, profile,
-                           render::BlendMode::kAdditive, stats);
+  render::rasterize_buffer({tile.pixels(), 8, 4}, buf, profile, stats);
   EXPECT_EQ(count_nonzero(tile), 16);
   EXPECT_NE(tile.at(0, 0), 0.0f);  // global (8,4) = local (0,0)
 }
@@ -327,31 +319,8 @@ TEST(Rasterizer, AdditiveBlendAccumulates) {
   v[2] = {1, 5, 0.5f, 0.5f};
   v[3] = {5, 5, 0.5f, 0.5f};
   render::RasterStats stats;
-  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile,
-                           render::BlendMode::kAdditive, stats);
+  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile, stats);
   EXPECT_NEAR(fb.at(2, 2), 2.0f * single, 1e-6f);
-}
-
-TEST(Rasterizer, MaximumBlendTakesMax) {
-  render::Framebuffer fb(8, 8);
-  const render::SpotProfile profile = flat_profile();
-  render::CommandBuffer buf;
-  auto add_quad = [&buf](float w) {
-    auto v = buf.add_mesh(w, 2, 2);
-    v[0] = {1, 1, 0.5f, 0.5f};
-    v[1] = {5, 1, 0.5f, 0.5f};
-    v[2] = {1, 5, 0.5f, 0.5f};
-    v[3] = {5, 5, 0.5f, 0.5f};
-  };
-  add_quad(1.0f);
-  add_quad(0.5f);  // smaller: must not reduce the max
-  render::RasterStats stats;
-  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile,
-                           render::BlendMode::kMaximum, stats);
-  const float center_profile = profile.sample(0.5f, 0.5f);
-  // Blended values sit on the contribution lattice (util/simd.hpp), so the
-  // raw profile sample can differ by up to half a quantum.
-  EXPECT_NEAR(fb.at(2, 2), center_profile, util::simd::kContributionQuantum);
 }
 
 TEST(Rasterizer, NegativeWeightSubtracts) {
@@ -372,8 +341,7 @@ TEST(Rasterizer, UvInterpolationSamplesProfile) {
   v[2] = {0, 64, 0, 1};
   v[3] = {64, 64, 1, 1};
   render::RasterStats stats;
-  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile,
-                           render::BlendMode::kAdditive, stats);
+  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile, stats);
   EXPECT_GT(fb.at(32, 32), fb.at(16, 16));
   EXPECT_GT(fb.at(16, 16), 0.0f);
   EXPECT_EQ(fb.at(1, 1), 0.0f);  // outside the inscribed circle
@@ -390,8 +358,7 @@ TEST(Rasterizer, StatsCountQuadsAndTriangles) {
       v[static_cast<std::size_t>(j * 4 + i)] = {static_cast<float>(4 * i),
                                                 static_cast<float>(4 * j), 0.5f, 0.5f};
   render::RasterStats stats;
-  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile,
-                           render::BlendMode::kAdditive, stats);
+  render::rasterize_buffer({fb.pixels(), 0, 0}, buf, profile, stats);
   EXPECT_EQ(stats.quads, 6);
   EXPECT_EQ(stats.triangles, 12);
 }

@@ -316,8 +316,7 @@ TEST(Rasterizer, FarOffscreenVerticesAreClampedNotUndefined) {
   const render::MeshVertex a{-1e12f, -1e12f, 0.5f, 0.5f};
   const render::MeshVertex b{1e12f, -1e12f, 0.5f, 0.5f};
   const render::MeshVertex c{0.0f, 1e12f, 0.5f, 0.5f};
-  rasterize_triangle(target, a, b, c, 1.0f, profile,
-                     render::BlendMode::kAdditive, stats);
+  rasterize_triangle(target, a, b, c, 1.0f, profile, stats);
   EXPECT_LE(stats.fragments, 32 * 32);
   for (int y = 0; y < fb.height(); ++y)
     for (int x = 0; x < fb.width(); ++x)
@@ -332,8 +331,7 @@ TEST(Rasterizer, EntirelyOffscreenTriangleIsRejectedInFloatSpace) {
   const render::MeshVertex a{1e12f, 5.0f, 0.0f, 0.0f};
   const render::MeshVertex b{2e12f, 5.0f, 1.0f, 0.0f};
   const render::MeshVertex c{1.5e12f, 2e12f, 0.5f, 1.0f};
-  rasterize_triangle(target, a, b, c, 1.0f, profile,
-                     render::BlendMode::kAdditive, stats);
+  rasterize_triangle(target, a, b, c, 1.0f, profile, stats);
   EXPECT_EQ(stats.fragments, 0);
 }
 
@@ -346,8 +344,7 @@ TEST(Rasterizer, NanVerticesAreRejected) {
   const render::MeshVertex a{nan, 4.0f, 0.0f, 0.0f};
   const render::MeshVertex b{8.0f, nan, 1.0f, 0.0f};
   const render::MeshVertex c{4.0f, 8.0f, 0.5f, 1.0f};
-  rasterize_triangle(target, a, b, c, 1.0f, profile,
-                     render::BlendMode::kAdditive, stats);
+  rasterize_triangle(target, a, b, c, 1.0f, profile, stats);
   EXPECT_EQ(stats.fragments, 0);
   for (int y = 0; y < fb.height(); ++y)
     for (int x = 0; x < fb.width(); ++x) ASSERT_EQ(fb.at(x, y), 0.0f);

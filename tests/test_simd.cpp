@@ -8,17 +8,21 @@
 // legally commute an add on either side of the comparison, so a lane where
 // both results are NaN compares equal regardless of payload bits. (Real
 // profile data is NaN-free; the whole-engine hash test below is strict.)
-// This suite enforces the contract three ways:
+// The kernel table holds the two kernels the renderer calls: the gather
+// `add` and the batched span sampler `sample_rows_add`. The scalar tier's
+// sample_rows_add called one span at a time is the oracle every tier's
+// batched calls are compared against. This suite enforces the contract
+// three ways:
 //
-//  1. per-kernel fuzz: every kernel of every available tier against the
-//     scalar table on adversarial float streams (random magnitudes, NaN,
-//     -0.0, +/-inf, denormals), lane-compared over the whole destination
-//     buffer so an out-of-bounds lane write cannot hide;
-//  2. the fused span sampler on synthetic 32.32 fixed-point walks over
+//  1. the gather kernel of every available tier against the scalar table
+//     on adversarial float streams (random magnitudes, NaN, -0.0, +/-inf,
+//     denormals), lane-compared over the whole destination buffer so an
+//     out-of-bounds lane write cannot hide;
+//  2. the span sampler on synthetic 32.32 fixed-point walks over
 //     special-valued profile tables, including the slightly-negative
-//     positions whose clamp is the subtlest part of the vector port, plus
-//     the batched form (which may reorder and pack non-aliasing spans)
-//     against span-by-span calls;
+//     positions whose clamp is the subtlest part of the vector port — one
+//     span per call, then whole batches (which a tier may reorder and pack,
+//     the spans never aliasing) against span-by-span oracle calls;
 //  3. a whole-engine render per tier, hashes compared pairwise — the
 //     end-to-end proof that tier choice cannot move one bit of a frame.
 //
@@ -26,6 +30,7 @@
 // one tier; this binary instead iterates every tier the host can run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -127,37 +132,10 @@ TEST(SimdKernels, ElementwiseKernelsMatchScalarBitwise) {
       const std::size_t n = rng() % 130;  // covers empty, tails, full blocks
       const auto src = fuzz_buffer(rng, n);
       const auto base = fuzz_buffer(rng, n + 8);  // +8: overrun canary zone
-      const float w = fuzz_float(rng);
-      const float v = fuzz_float(rng);
-
       auto want = base;
       auto got = base;
       scalar.add(want.data(), src.data(), n);
       k.add(got.data(), src.data(), n);
-      EXPECT_BYTES_EQ(want, got, tier);
-
-      want = base;
-      got = base;
-      scalar.add_scaled(want.data(), src.data(), w, n);
-      k.add_scaled(got.data(), src.data(), w, n);
-      EXPECT_BYTES_EQ(want, got, tier);
-
-      want = base;
-      got = base;
-      scalar.max_scaled(want.data(), src.data(), w, n);
-      k.max_scaled(got.data(), src.data(), w, n);
-      EXPECT_BYTES_EQ(want, got, tier);
-
-      want = base;
-      got = base;
-      scalar.max_with(want.data(), v, n);
-      k.max_with(got.data(), v, n);
-      EXPECT_BYTES_EQ(want, got, tier);
-
-      want = base;
-      got = base;
-      scalar.quantize_span(want.data(), src.data(), n);
-      k.quantize_span(got.data(), src.data(), n);
       EXPECT_BYTES_EQ(want, got, tier);
     }
   }
@@ -189,9 +167,14 @@ FuzzSpan make_span(util::Rng& rng, const std::vector<float>& table,
     f.span.dfx = like->dfx;
     f.span.dfy = like->dfy;
   } else {
-    // Steps up to ~2 texels per fragment, either sign.
-    f.span.dfx = static_cast<std::int64_t>(rng() % (1ull << 33)) - (1ll << 32);
-    f.span.dfy = static_cast<std::int64_t>(rng() % (1ull << 33)) - (1ll << 32);
+    // Steps of up to one texel per fragment, either sign — fewer on spans
+    // long enough that a whole-texel step would walk off the 63-texel table.
+    const std::uint64_t step =
+        std::min<std::uint64_t>(1ull << 32, (62ull << 32) / max_len);
+    f.span.dfx = static_cast<std::int64_t>(rng() % (2 * step)) -
+                 static_cast<std::int64_t>(step);
+    f.span.dfy = static_cast<std::int64_t>(rng() % (2 * step)) -
+                 static_cast<std::int64_t>(step);
   }
   // Start so every step of the walk stays in [0, 63] x [0, 63] texels
   // (the +1 bilinear neighbour then stays inside the padded table)...
@@ -225,13 +208,10 @@ TEST(SimdKernels, FusedSpanSamplerMatchesScalarBitwise) {
       const auto base = fuzz_buffer(rng, f.len + 16);
       auto want = base;
       auto got = base;
-      if (round % 2 == 0) {
-        scalar.sample_row_add(want.data(), f.span, f.len);
-        k.sample_row_add(got.data(), f.span, f.len);
-      } else {
-        scalar.sample_row_max(want.data(), f.span, f.len);
-        k.sample_row_max(got.data(), f.span, f.len);
-      }
+      float* want_dst = want.data();
+      float* got_dst = got.data();
+      scalar.sample_rows_add(&want_dst, &f.span, &f.len, 1);
+      k.sample_rows_add(&got_dst, &f.span, &f.len, 1);
       EXPECT_BYTES_EQ(want, got, tier);
     }
   }
@@ -241,15 +221,17 @@ TEST(SimdKernels, FusedSpanSamplerMatchesScalarBitwise) {
 // batch spans never alias). Lay spans on disjoint rows of one destination
 // and require the whole buffer to match span-by-span scalar calls — on
 // every tier, with mixed short/single-block/multi-block lengths, zero
-// lengths, a batch bigger than the internal chunking, and a batch whose
-// spans come from two different tables (packing must fall back, not blend
-// across tables).
+// lengths, a batch bigger than the internal chunking, spans longer than the
+// staged tiers' fused cut-over (16) and texel staging chunk (256), and a
+// batch whose spans come from two different tables (packing must fall back,
+// not blend across tables).
 TEST(SimdKernels, BatchedSpanKernelMatchesPerSpanCalls) {
   const auto& scalar = simd::kernels_for(simd::Tier::kScalar);
   util::Rng rng(0xba7c4u);
   const auto table_a = fuzz_buffer(rng, kTableStride * kTableRows);
   const auto table_b = fuzz_buffer(rng, kTableStride * kTableRows);
-  constexpr std::size_t kWidth = 64;
+  constexpr std::uint32_t kLongSpan = 600;  // > 2 staging chunks of 256
+  constexpr std::size_t kWidth = kLongSpan + 8;
   for (const simd::Tier tier : simd::available_tiers()) {
     const auto& k = simd::kernels_for(tier);
     for (int round = 0; round < 60; ++round) {
@@ -260,14 +242,15 @@ TEST(SimdKernels, BatchedSpanKernelMatchesPerSpanCalls) {
       spans.reserve(count);
       // Alternate batch shapes: production-like (every span shares the
       // first span's dfx/dfy/weight — the batched fast path) and fully
-      // heterogeneous (per-span parameters — the generic fallback).
-      const bool production_shape = (round / 2) % 2 == 1;  // decoupled from
-                                                           // the add/max pick
+      // heterogeneous (per-span parameters — the generic fallback). Every
+      // fifth batch draws lengths up to kLongSpan.
+      const bool production_shape = (round / 2) % 2 == 1;
+      const std::uint32_t max_len = round % 5 == 4 ? kLongSpan : 30;
       for (std::size_t i = 0; i < count; ++i) {
         const auto& table = (round % 3 == 0 && i % 2 == 1) ? table_b : table_a;
         const simd::SampleSpan* like =
             production_shape && i > 0 ? &spans.front().span : nullptr;
-        spans.push_back(make_span(rng, table, 30, like));
+        spans.push_back(make_span(rng, table, max_len, like));
         raw.push_back(spans.back().span);
         lens.push_back(spans.back().len);
       }
@@ -280,17 +263,10 @@ TEST(SimdKernels, BatchedSpanKernelMatchesPerSpanCalls) {
         want_dst[i] = want.data() + i * kWidth;
         got_dst[i] = got.data() + i * kWidth;
       }
-      if (round % 2 == 0) {
-        for (std::size_t i = 0; i < count; ++i) {
-          scalar.sample_row_add(want_dst[i], raw[i], lens[i]);
-        }
-        k.sample_rows_add(got_dst.data(), raw.data(), lens.data(), count);
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          scalar.sample_row_max(want_dst[i], raw[i], lens[i]);
-        }
-        k.sample_rows_max(got_dst.data(), raw.data(), lens.data(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        scalar.sample_rows_add(&want_dst[i], &raw[i], &lens[i], 1);
       }
+      k.sample_rows_add(got_dst.data(), raw.data(), lens.data(), count);
       EXPECT_BYTES_EQ(want, got, tier);
     }
   }
@@ -309,7 +285,6 @@ TEST(SimdKernels, WholeEngineHashIdenticalAcrossTiers) {
   core::DncConfig dnc;
   dnc.processors = 4;
   dnc.pipes = 2;
-  dnc.raster_algorithm = render::RasterAlgorithm::kSpan;
 
   util::Rng rng(20260808);
   auto spots = core::make_random_spots(f->domain(), sc.spot_count, rng);
