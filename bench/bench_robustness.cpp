@@ -5,10 +5,11 @@
 // dozens of frames queued up front, per-spot throw faults (poisoned field
 // samples, failed pipe submits), contained tile-store faults, a failing
 // framebuffer checkout per so many tiles, and scheduling-noise drops at
-// worker pickup and master queue pop. Retries with exponential backoff run
-// on the virtual service clock; every frame after a session's first carries
-// a finite virtual deadline with policy kDegrade, so a job whose retries
-// push it past its deadline is served the session's stale frame, flagged —
+// worker pickup and the caller's completion wait (queue pop). Retries with
+// exponential backoff run on the virtual service clock; every frame after a
+// session's first carries a finite virtual deadline with policy kDegrade,
+// so a job whose retries push it past its deadline is served the session's
+// stale frame, flagged —
 // availability through degradation, the paper's interactive-steering
 // contract under faults.
 //

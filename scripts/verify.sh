@@ -306,7 +306,7 @@ fi
 # pipe/queue machinery are the code where a data race would hide; run exactly
 # those suites instrumented. gtest discovery re-runs each binary, so build
 # only what we need.
-TSAN_SUITES=(test_scheduling test_synthesizers test_incremental test_service test_pipe test_tile_store test_util test_faults test_net test_simd)
+TSAN_SUITES=(test_scheduling test_synthesizers test_incremental test_service test_pipe test_tile_store test_util test_faults test_net test_simd test_determinism)
 tsan_gate() {
   echo "== ThreadSanitizer pass (build-tsan) =="
   cmake --preset tsan

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "core/tile_store.hpp"
@@ -93,7 +92,7 @@ DncSynthesizer::DncSynthesizer(SynthesisConfig synthesis, DncConfig dnc,
           1, kMemoBlockBytes / (memo_stride_ * sizeof(render::MeshVertex)))) {
   DCSN_CHECK(dnc_.pipes >= 1, "need at least one graphics pipe");
   DCSN_CHECK(dnc_.processors >= dnc_.pipes,
-             "each pipe needs at least one processor (its master)");
+             "each pipe needs at least one processor (its affinity participant)");
   DCSN_CHECK(dnc_.chunk_spots >= 1, "chunk size must be positive");
 
   bus_ = std::make_shared<render::Bus>(dnc_.bus_bytes_per_second);
@@ -484,21 +483,12 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
 
   for (auto& group : groups_) {
     group->pipe->reset_stats();
-    group->master_running.store(false, std::memory_order_relaxed);
-    group->master_exited.store(false, std::memory_order_relaxed);
-    group->inflight.store(0, std::memory_order_relaxed);
+    group->joined.store(false, std::memory_order_relaxed);
+    // A group that renders nothing this frame (a clean or store-hit tile)
+    // issues no clear: its retained pixels live in final_, not in the pipe.
+    if (group->active) group->pipe->clear();
   }
   bus_->reset_stats();
-  // Rendering groups take the first master roles, so the first participant
-  // (often the caller, alone until pool workers wake) starts the pipes that
-  // have work at once; the roles of groups that render nothing come last.
-  master_order_.resize(static_cast<std::size_t>(dnc_.pipes));
-  std::iota(master_order_.begin(), master_order_.end(), 0);
-  std::ranges::stable_partition(master_order_, [this](int g) {
-    return groups_[static_cast<std::size_t>(g)]->active;
-  });
-  next_master_.store(0, std::memory_order_relaxed);
-  masters_done_.store(0, std::memory_order_relaxed);
   {
     util::MutexLock lock(job_mutex_);
     slots_.assign(static_cast<std::size_t>(dnc_.processors), Slot{});
@@ -511,15 +501,16 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
     // a quorum joins or the deadline passes. Without it, on a loaded host a
     // small frame is over before a newly woken pool worker gets its first
     // timeslice — whichever participant runs first silently serializes the
-    // whole frame, so masters never coexist and stealing never happens. The
-    // deadline keeps the old barrier's failure mode out: a pool absorbed by
-    // other sessions costs at most the gate window, never a stall.
+    // whole frame, so groups are never served together and stealing never
+    // happens. The deadline keeps the old barrier's failure mode out: a pool
+    // absorbed by other sessions costs at most the gate window, never a
+    // stall.
     //
     // The quorum shrinks with the share of groups that render: an
-    // incremental frame with one dirty tile of four has one master worth
+    // incremental frame with one dirty tile of four has one group worth
     // lining up for, so it starts at once (pool workers that wake later
-    // still join it as producers); a frame where every group renders waits
-    // for the full quorum.
+    // still join it); a frame where every group renders waits for the full
+    // quorum.
     const auto rendering = static_cast<int>(
         std::ranges::count_if(groups_, [](const auto& g) { return g->active; }));
     const int quorum = std::min(dnc_.processors, 1 + runtime_->worker_count());
@@ -541,18 +532,17 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
   // memory (see prepare_geometry_memo).
   memo_slot_.clear();
   memo_blocks_.clear();
+  // Every submitted chunk is in a pipe queue now. Fence the rendering pipes
+  // before the gather clock starts, so gather_seconds excludes raster wait.
+  // A failed frame fences too: its leftover buffers drain before the next
+  // frame resets the pipe stats.
+  for (auto& group : groups_) {
+    if (group->active) group->pipe->finish();
+  }
 
   if (frame_failed_.load(std::memory_order_acquire)) {
-    // Abandon the frame: discard whatever buffers were in flight, rearm the
-    // inboxes for the next frame and hand the first failure to the caller.
-    // No participant is active anymore (the caller waited them out), so
-    // this cleanup runs single-threaded.
-    for (auto& group : groups_) {
-      while (group->inbox.try_pop()) {
-      }
-      group->inbox.reopen();
-      group->inflight.store(0, std::memory_order_relaxed);
-    }
+    // Abandon the frame and hand the first failure to the caller. No
+    // participant is active anymore (the caller waited them out).
     std::exception_ptr error;
     {
       util::MutexLock lock(error_mutex_);
@@ -745,6 +735,8 @@ bool DncSynthesizer::serve_frame(bool is_caller) {
       if (ordinal < 0) return false;  // the processor budget is occupied
       slot_taken_[static_cast<std::size_t>(ordinal)] = 1;
       ++active_participants_;
+      groups_[static_cast<std::size_t>(ordinal % dnc_.pipes)]->joined.store(
+          true, std::memory_order_relaxed);
     }
     slot = &slots_[static_cast<std::size_t>(ordinal)];
   }
@@ -781,34 +773,8 @@ bool DncSynthesizer::serve_frame(bool is_caller) {
 }
 
 bool DncSynthesizer::participant_loop(Slot& slot, int ordinal, bool is_caller) {
-  const int pipe_count = dnc_.pipes;
   bool worked = false;
   for (;;) {
-    // Unclaimed master roles come first: a group's counter only becomes
-    // claimable once its master runs, so starting masters is what unlocks
-    // parallelism for everyone else.
-    int m = next_master_.load(std::memory_order_relaxed);
-    bool claimed = false;
-    while (m < pipe_count && !claimed) {
-      claimed = next_master_.compare_exchange_weak(m, m + 1,
-                                                   std::memory_order_acq_rel);
-    }
-    if (claimed) {
-      worked = true;
-      try {
-        run_master(*groups_[static_cast<std::size_t>(
-                       master_order_[static_cast<std::size_t>(m)])],
-                   slot, is_caller);
-      } catch (...) {
-        // A master must never leave the frame protocol by exception: record
-        // it, unblock everyone, and still retire the role so the caller's
-        // completion count reaches pipe_count.
-        fail_frame(std::current_exception());
-      }
-      masters_done_.fetch_add(1, std::memory_order_acq_rel);
-      job_cv_.notify_all();
-      continue;
-    }
     bool produced = false;
     try {
       produced = producer_once(slot, ordinal, is_caller);
@@ -820,117 +786,35 @@ bool DncSynthesizer::participant_loop(Slot& slot, int ordinal, bool is_caller) {
       continue;
     }
     if (!is_caller) return worked;  // pool worker: hand capacity elsewhere
-    // The caller stays to the end: masters may still be running on pool
-    // workers, late masters may still need claiming after a failure, and a
-    // straggler participant may still be mid-chunk. The timed wait bounds
-    // the recheck latency; completion transitions signal job_cv_.
+    // The caller stays to the end: nothing is left for it to claim, but
+    // other participants may still be generating or submitting their last
+    // chunk. Claimable work only shrinks, so the caller just waits for them
+    // to leave; each departure signals job_cv_.
     util::MutexLock lock(job_mutex_);
-    if (masters_done_.load(std::memory_order_acquire) == pipe_count &&
-        active_participants_ == 1) {
+    if (active_participants_ == 1) {
       // Close under the same lock that observed quiescence so no straggler
       // can join (and touch slots_) after the caller walks away.
       frame_open_ = false;
       return worked;
     }
-    job_cv_.wait_for(lock, 1ms);
-  }
-}
-
-void DncSynthesizer::run_master(Group& group, Slot& slot, bool is_caller) {
-  group.master_running.store(true, std::memory_order_release);
-  // A group that renders nothing this frame (a clean or store-hit tile) has
-  // an empty counter and receives no buffers — no producer claims from it
-  // and no thief routes loot to it — so its master wakes no pool workers,
-  // issues no clear (the retained pixels live in final_, not in the pipe
-  // target) and fences nothing at exit. It still steals for the others.
-  if (group.active) {
-    runtime_->notify_workers();  // this group's counter just became claimable
-    group.pipe->clear();
-  }
-
-  auto submit = [&](Message& msg) {
-    // A throw-hit inside submit_to_pipe leaves the in-flight registration
-    // standing; that is fine — the frame fails, and the failed-frame
-    // cleanup in synthesize() resets every group's inflight to zero.
-    submit_to_pipe(group, std::move(msg.buffer), msg.submit_faults);
-    group.inflight.fetch_sub(1, std::memory_order_seq_cst);
-  };
-
-  for (;;) {
-    if (frame_failed_.load(std::memory_order_relaxed)) return;
-    check_canceled();
-    // Forwarding buffers has priority: a starved pipe is worse than a
-    // delayed chunk of master-side generation.
-    if (auto msg = group.inbox.try_pop()) {
-      submit(*msg);
-      continue;
-    }
-    if (const auto range = group.work->claim(); !range.empty()) {
-      FaultInjector::Batch submit_faults;
-      render::CommandBuffer buffer =
-          generate_chunk(group, range, slot, is_caller, &submit_faults);
-      submit_to_pipe(group, std::move(buffer), submit_faults);
-      continue;
-    }
-    if (dnc_.steal && master_steal_once(group, slot, is_caller)) continue;
-    // Exit condition, item-counted: own counter drained and no registered
-    // delivery is still on its way to this pipe. Two guarantees close the
-    // races. (1) Same-counter claims: the seq_cst fence pairs with the
-    // producers' increment-fence-claim sequence — if a producer's
-    // successful claim is visible here (the counter reads drained), its
-    // inflight increment is visible too. (2) Cross-counter deliveries
-    // (contiguous mode routes stolen chunks to the thief's affinity pipe):
-    // the exited flag is stored *before* re-reading inflight, while the
-    // producer increments inflight *before* reading the flag — one side
-    // must see the other, so the master either stays for the registrant or
-    // the registrant reroutes. A phantom (an increment whose claim comes
-    // back empty) only delays exit by one timed wait, never loses work.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (group.work->drained() &&
-        group.inflight.load(std::memory_order_seq_cst) == 0) {
-      group.master_exited.store(true, std::memory_order_seq_cst);
-      if (group.inflight.load(std::memory_order_seq_cst) == 0) break;
-      group.master_exited.store(false, std::memory_order_seq_cst);
-      continue;  // a delivery registered in the window; stay for it
-    }
     // Fault site kQueuePop (scheduling class): a drop models a spurious
-    // timeout — skip the wait and rescan, which is exactly the path a real
-    // spurious CV wakeup takes; the exit handshake must terminate through
-    // it. A delay models preemption before the wait.
-    if (faults_ != nullptr &&
-        faults_->check_scheduling(FaultSite::kQueuePop) ==
-            FaultInjector::Action::kDrop) {
-      std::this_thread::yield();
+    // wakeup — skip the wait and rescan, which completion must survive. A
+    // delay models preemption before the wait.
+    if (faults_ != nullptr && faults_->check_scheduling(FaultSite::kQueuePop) ==
+                                  FaultInjector::Action::kDrop) {
       continue;
     }
-    if (auto msg = group.inbox.pop_for(500us)) submit(*msg);
-    // On timeout (or closed inbox) just rescan: the loop head re-checks
-    // failure, new work and the exit condition.
+    job_cv_.wait(lock, [&]() DCSN_REQUIRES(job_mutex_) {
+      return active_participants_ == 1;
+    });
   }
-  if (group.active) group.pipe->finish();
 }
 
-DncSynthesizer::Group* DncSynthesizer::pick_victim(const Group* self,
-                                                   bool for_master) {
+DncSynthesizer::Group* DncSynthesizer::pick_victim(const Group* self) {
   Group* best = nullptr;
   std::int64_t best_remaining = 0;
   for (auto& candidate : groups_) {
     if (candidate.get() == self) continue;
-    if (!candidate->master_running.load(std::memory_order_acquire)) {
-      // Producers deliver with a blocking push, so they need a live
-      // consumer. Masters may raid a group whose master has not started:
-      // in contiguous mode the loot renders on the thief's own pipe, and
-      // in tiled mode it is buffered in the victim's inbox — but only
-      // while there is headroom for every potential master-held message,
-      // so the non-blocking delivery below can never wedge on an inbox
-      // nobody drains yet.
-      if (!for_master) continue;
-      if (dnc_.tiled &&
-          candidate->inbox.size() + static_cast<std::size_t>(dnc_.pipes) >=
-              candidate->inbox.capacity()) {
-        continue;
-      }
-    }
     const std::int64_t r = candidate->work->remaining();
     if (r > best_remaining) {
       best_remaining = r;
@@ -940,124 +824,55 @@ DncSynthesizer::Group* DncSynthesizer::pick_victim(const Group* self,
   return best;
 }
 
-bool DncSynthesizer::master_steal_once(Group& me, Slot& slot, bool is_caller) {
-  Group* victim = pick_victim(&me, /*for_master=*/true);
-  if (victim == nullptr) return false;
-  // Register against the victim before the claim (the same-counter Dekker
-  // pattern the exit condition relies on); if the loot ends up on this
-  // master's own pipe the registration is retired right after the submit.
-  victim->inflight.fetch_add(1, std::memory_order_seq_cst);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  const auto range = victim->work->steal(dnc_.chunk_spots);
-  if (range.empty()) {
-    victim->inflight.fetch_sub(1, std::memory_order_seq_cst);
-    return true;  // raced with the owner; rescan
-  }
-  const util::ThreadCpuStopwatch watch;
-  Message msg;
-  msg.buffer = generate_chunk(*victim, range, slot, is_caller,
-                              &msg.submit_faults);
-  slot.steal_seconds += watch.seconds();
-  slot.stolen_chunks += 1;
-  slot.stolen_spots += range.size();
-  if (!dnc_.tiled &&
-      (!victim->master_running.load(std::memory_order_acquire) ||
-       me.pipe->stats().bytes_received <=
-           victim->pipe->stats().bytes_received)) {
-    // Contiguous: every pipe renders the full texture and the gather
-    // blends by addition, so the loot may go through the thief's own pipe
-    // — but only when that pipe is the less loaded of the two (submitted
-    // geometry bytes count queued work): unconditional re-routing would
-    // *create* raster imbalance on the tail of an already balanced frame.
-    // A not-yet-running victim always renders on the thief (nobody drains
-    // its inbox yet).
-    submit_to_pipe(me, std::move(msg.buffer), msg.submit_faults);
-    victim->inflight.fetch_sub(1, std::memory_order_seq_cst);
-    return true;
-  }
-  // Tiled (always), or a contiguous victim whose pipe is the lighter one:
-  // the buffer is routed back through the owner's inbox. A master must
-  // never block on a foreign inbox — two masters blocked on each other's
-  // full inbox would deadlock — so alternate try_push with draining its
-  // own. Termination: a running victim drains its inbox until its
-  // in-flight count (which includes this message) is zero, and a
-  // not-yet-started tiled victim had `pipes` slots of headroom at
-  // selection, at most one undelivered message per master-thief.
-  while (!victim->inbox.try_push_or_keep(msg)) {
-    if (frame_failed_.load(std::memory_order_relaxed)) return true;
-    if (auto own = me.inbox.try_pop()) {
-      submit_to_pipe(me, std::move(own->buffer), own->submit_faults);
-      me.inflight.fetch_sub(1, std::memory_order_seq_cst);
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  return true;
-}
-
 bool DncSynthesizer::producer_once(Slot& slot, int ordinal, bool is_caller) {
   if (frame_failed_.load(std::memory_order_relaxed)) return false;
   check_canceled();
-  // Affinity first (the front of the counter, like the old in-group
-  // slaves); with stealing enabled, the most loaded running group after.
+  const auto produce = [&](Group& group, util::StealableWorkCounter::Range range) {
+    FaultInjector::Batch submit_faults;
+    render::CommandBuffer buffer =
+        generate_chunk(group, range, slot, is_caller, &submit_faults);
+    submit_to_pipe(group, std::move(buffer), submit_faults);
+  };
+  // Affinity first, from the front of the counter.
   Group& own = *groups_[static_cast<std::size_t>(ordinal % dnc_.pipes)];
-  if (own.master_running.load(std::memory_order_acquire)) {
-    own.inflight.fetch_add(1, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const auto range = own.work->claim();
-    if (!range.empty()) {
-      Message msg;
-      msg.buffer = generate_chunk(own, range, slot, is_caller,
-                                  &msg.submit_faults);
-      (void)own.inbox.push(std::move(msg));  // false = closed = frame failed
-      return true;
-    }
-    own.inflight.fetch_sub(1, std::memory_order_seq_cst);
+  if (const auto range = own.work->claim(); !range.empty()) {
+    produce(own, range);
+    return true;
   }
-  if (!dnc_.steal) return false;
-  Group* victim = pick_victim(&own, /*for_master=*/false);
+  if (!dnc_.steal) {
+    // Static partition: a group is served by its affinity participants
+    // only. The caller is the exception for groups no pool worker joined
+    // for, so a frame completes when other sessions absorbed the pool.
+    if (!is_caller) return false;
+    for (auto& group : groups_) {
+      if (group->joined.load(std::memory_order_relaxed)) continue;
+      if (const auto range = group->work->claim(); !range.empty()) {
+        produce(*group, range);
+        return true;
+      }
+    }
+    return false;
+  }
+  Group* victim = pick_victim(&own);
   if (victim == nullptr) return false;
-  // Delivery target. Tiled mode has no choice: only the owning group's
-  // pipe renders the stolen region. Contiguous mode routes the loot to the
-  // thief's *affinity* pipe when that pipe carries less submitted geometry
-  // (addition commutes across pipes, so sending work to the lighter pipe
-  // balances rasterization the way stealing balances generation — while
-  // the load comparison keeps tail-end steals from unbalancing an already
-  // even frame). Cross-counter routing needs the two-phase handshake
-  // against the destination master's exit (see run_master); when the
-  // destination is unavailable the owner's inbox is always valid.
-  Group* dest = victim;
-  if (!dnc_.tiled && &own != victim &&
-      own.master_running.load(std::memory_order_acquire) &&
-      own.pipe->stats().bytes_received <
-          victim->pipe->stats().bytes_received) {
-    own.inflight.fetch_add(1, std::memory_order_seq_cst);
-    if (own.master_exited.load(std::memory_order_seq_cst)) {
-      own.inflight.fetch_sub(1, std::memory_order_seq_cst);
-    } else {
-      dest = &own;
-    }
-  }
-  if (dest == victim) {
-    victim->inflight.fetch_add(1, std::memory_order_seq_cst);
-  }
-  std::atomic_thread_fence(std::memory_order_seq_cst);
   const auto range = victim->work->steal(dnc_.chunk_spots);
-  if (range.empty()) {
-    dest->inflight.fetch_sub(1, std::memory_order_seq_cst);
-    return true;  // raced; rescan
-  }
+  if (range.empty()) return true;  // raced with the owner; rescan
   const util::ThreadCpuStopwatch watch;
-  Message msg;
-  msg.buffer = generate_chunk(*victim, range, slot, is_caller,
-                              &msg.submit_faults);
+  FaultInjector::Batch submit_faults;
+  render::CommandBuffer buffer =
+      generate_chunk(*victim, range, slot, is_caller, &submit_faults);
   slot.steal_seconds += watch.seconds();
   slot.stolen_chunks += 1;
   slot.stolen_spots += range.size();
-  // Producers may block here: the destination's master is running, has the
-  // delivery registered in its in-flight count, and drains its inbox until
-  // that count reaches zero. close() wakes us on frame failure.
-  (void)dest->inbox.push(std::move(msg));
+  // Tiled mode has no choice: only the owning group's pipe renders the
+  // stolen region. Contiguous mode sends the loot to the lighter of the
+  // thief's and the victim's pipes by submitted geometry bytes: addition
+  // commutes across pipes, so this balances rasterization the way stealing
+  // balances generation, and the comparison keeps tail-end steals from
+  // unbalancing an already even frame.
+  const bool to_own = !dnc_.tiled && own.pipe->stats().bytes_received <
+                                         victim->pipe->stats().bytes_received;
+  submit_to_pipe(to_own ? own : *victim, std::move(buffer), submit_faults);
   return true;
 }
 
@@ -1067,11 +882,6 @@ void DncSynthesizer::fail_frame(std::exception_ptr error) {
     if (!frame_error_) frame_error_ = error;
   }
   frame_failed_.store(true, std::memory_order_release);
-  // Closing wakes blocked pops (masters) and makes blocked pushes
-  // (producers, thieves) fail instead of waiting on a consumer that
-  // already bailed.
-  for (auto& group : groups_) group->inbox.close();
-  job_cv_.notify_all();
 }
 
 render::CommandBuffer DncSynthesizer::generate_chunk(

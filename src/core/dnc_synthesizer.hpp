@@ -3,11 +3,13 @@
 // The spot collection is partitioned into disjoint sets, one per process
 // group. A process group drives exactly one graphics pipe (paper §4):
 //
-//   * the group's master owns the pipe's context: it is the only thread
-//     that submits commands, and it performs spot-shape calculation itself
-//     whenever it would otherwise idle;
-//   * producers claim chunks of a group's spot set, transform them into
-//     command buffers and hand the buffers to that group's master;
+//   * the pipe is the group's graphics context: render::GraphicsPipe runs
+//     one server thread that drains one bounded command queue, so the
+//     paper's master — the one process that feeds the context — is the
+//     pipe's own queue;
+//   * participants claim chunks of a group's spot set, transform them into
+//     command buffers and submit each buffer to the destination pipe
+//     themselves;
 //   * each pipe renders its group's spots into a partial texture; after all
 //     groups complete, partial textures are gathered across the bus and
 //     blended sequentially — the overhead term c of eq. 3.2.
@@ -17,28 +19,25 @@
 // location in a preprocessing step, spots near boundaries are duplicated
 // into every region they may touch, and the final compose is a cheap copy.
 //
-// Ownership (changed by the shared-runtime refactor, see core/runtime.hpp):
-// a synthesizer no longer owns worker threads, pipes or readback buffers —
-// it *borrows* them from a core::Runtime (the process-global one by
-// default). Each synthesize() call registers a frame job with the runtime;
-// the calling thread always participates, and runtime pool workers join up
-// to the session's processor budget. Participants claim the group-master
-// roles first and produce spot geometry after. Because pool workers are
-// fungible across every registered job, an idle session's capacity flows to
-// a loaded one — cross-session work stealing over the same
-// util::StealableWorkCounter that balances groups within a frame. The
-// PR 4 determinism lattice guarantees this cannot show in the pixels:
-// rasterization is target-independent and accumulation is lattice-exact, so
-// the texture is bitwise identical no matter which worker (of which
-// session) generated or rasterized a chunk.
+// Ownership (see core/runtime.hpp): a synthesizer owns no worker threads,
+// pipes or readback buffers — it *borrows* them from a core::Runtime (the
+// process-global one by default). Each synthesize() call registers a frame
+// job with the runtime; the calling thread always participates, and runtime
+// pool workers join up to the session's processor budget. Because pool
+// workers are fungible across every registered job, an idle session's
+// capacity flows to a loaded one — cross-session work stealing over the
+// same util::StealableWorkCounter that balances groups within a frame. The
+// contribution lattice (util::simd::quantize_contribution) guarantees this
+// cannot show in the pixels: rasterization is target-independent and
+// accumulation is lattice-exact, so the texture is bitwise identical no
+// matter which worker (of which session) generated a chunk or in which
+// order a pipe received it.
 //
-// Frame termination is item-counted, not barrier-counted: every chunk a
-// producer claims from group g's counter is registered in-flight against g
-// before the claim and retired when g's master submits it, so a master
-// exits exactly when its counter is drained and its in-flight count is
-// zero — independent of how many participants exist or when they come and
-// go. (The old design needed one dedicated thread per processor and two
-// barriers per frame; a shared pool cannot promise either.)
+// Frame termination needs no hand-off protocol: a participant that claims
+// a chunk generates and submits it before it looks for more work, and pipes
+// never leave a frame, so once every counter is drained and the caller is
+// the last participant, every chunk sits in a pipe queue. The caller then
+// fences the pipes that render and gathers.
 //
 // Process groups persist across frames; synthesize() is called once per
 // animation frame with that frame's field and spot set, which is what makes
@@ -62,7 +61,6 @@
 #include "render/bus.hpp"
 #include "render/pipe.hpp"
 #include "util/error.hpp"
-#include "util/queue.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/threading.hpp"
@@ -160,8 +158,9 @@ struct DncConfig {
   TileStrategy tile_strategy = TileStrategy::kGrid;
   /// Cross-group work stealing: idle participants pull chunk ranges from
   /// the most loaded group once their own group's counter drains. Off
-  /// reproduces the static partition (the bench_ablation_balance baseline);
-  /// off also pins each producer to its affinity group.
+  /// reproduces the static partition (the bench_ablation_balance baseline):
+  /// each participant serves only its affinity group, and the caller alone
+  /// also serves groups whose affinity participants never joined the frame.
   bool steal = true;
   /// Tiled mode only: memoize rendered tiles in the runtime's process-wide
   /// core::TileStore, keyed by content (spot subset, field fingerprint,
@@ -329,20 +328,8 @@ class DncSynthesizer {
   void bind_frame_control(FrameControl* control) { control_ = control; }
 
  private:
-  struct Message {
-    render::CommandBuffer buffer;
-    /// Pre-drawn kPipeSubmit decisions for every spot `buffer` carries,
-    /// drawn at generation time (where the owning group's global-index
-    /// mapping is in scope) and applied by whichever master submits the
-    /// buffer — so the fault outcome is keyed by *which spots* are
-    /// submitted, never by who submits them, when, or where the
-    /// work-stealing crossover happened to split the range.
-    FaultInjector::Batch submit_faults;
-  };
-
   struct Group {
     PipeLease pipe;
-    util::BoundedQueue<Message> inbox{256};
     std::unique_ptr<util::StealableWorkCounter> work;  ///< over the group's local indices
     const std::vector<std::int64_t>* tile_indices = nullptr;  ///< tiled mode
     /// Tiled mode: local index 0 maps to tile_indices[start], wrapping.
@@ -362,24 +349,10 @@ class DncSynthesizer {
     /// The group renders the plan's delta for its tile (tile_indices points
     /// into job_delta_) and the gather adds the readback onto final_.
     bool delta = false;
-    /// The master role for this group has started; only then may producers
-    /// claim from its counter (a blocked inbox push needs a live consumer).
-    std::atomic<bool> master_running{false};
-    /// The master role finished its frame. Second half of the two-phase
-    /// exit handshake: a producer that wants to route a *foreign* group's
-    /// chunk to this pipe registers in `inflight` first and checks this
-    /// flag after; the exiting master stores the flag first and rechecks
-    /// `inflight` after — so either the master sees the registration and
-    /// stays, or the producer sees the flag and reroutes. Without it a
-    /// cross-counter delivery could race into an inbox nobody will ever
-    /// drain and its spots would silently vanish from the frame.
-    std::atomic<bool> master_exited{false};
-    /// Messages destined for this group's pipe, registered and not yet
-    /// submitted by this group's master — the item-counted half of the
-    /// master's exit condition. Incremented *before* the claim attempt
-    /// (conservative phantom counts are resolved by the master's timed
-    /// inbox wait), decremented on an empty claim or at master submit.
-    std::atomic<std::int64_t> inflight{0};
+    /// A pool worker with this group as its affinity joined the frame. With
+    /// steal off the caller serves the groups where this stays clear, so a
+    /// frame completes when other sessions have absorbed the pool.
+    std::atomic<bool> joined{false};
   };
 
   /// Per-participant accounting and identity for one frame. Slots are a
@@ -433,19 +406,16 @@ class DncSynthesizer {
   struct FrameHandle;  // Runtime::SharedJob adapter (defined in the .cpp)
 
   /// One participant serving the current frame: joins (subject to the
-  /// processor budget; the caller always fits), claims master roles and
-  /// produces until no work remains. The caller additionally waits for
-  /// frame completion before leaving. Returns whether any work was done.
+  /// processor budget; the caller always fits) and produces until no work
+  /// remains. The caller additionally waits for every other participant to
+  /// leave before it returns. Returns whether any work was done.
   bool serve_frame(bool is_caller);
   bool participant_loop(Slot& slot, int ordinal, bool is_caller);
-  void run_master(Group& group, Slot& slot, bool is_caller);
-  /// One unit of producer work: claim from the affinity group, else steal
-  /// from the most loaded running group. Returns false when nothing is
-  /// claimable right now.
+  /// One chunk of work, submitted before returning: claim from the
+  /// affinity group, else steal from the most loaded group (steal on) or,
+  /// for the caller, claim from a group nobody joined for (steal off).
+  /// Returns false when nothing is claimable right now.
   bool producer_once(Slot& slot, int ordinal, bool is_caller);
-  /// One steal attempt on behalf of a master; returns true if the scan
-  /// should restart (work was done or raced away).
-  bool master_steal_once(Group& me, Slot& slot, bool is_caller);
   /// Generates one chunk of spot geometry, bent spots traced in lane groups
   /// of SpotGeometryGenerator::kGroupSpots. Per spot it checks the
   /// kFieldSample fault site and pre-draws the spot's kPipeSubmit decision
@@ -458,13 +428,11 @@ class DncSynthesizer {
                                        util::StealableWorkCounter::Range range,
                                        Slot& slot, bool is_caller,
                                        FaultInjector::Batch* submit_faults);
-  /// Largest-remaining victim, excluding `self`. Producers only see groups
-  /// whose master runs (their delivery blocks on the inbox); masters may
-  /// additionally raid not-yet-started groups (see the implementation for
-  /// the non-blocking delivery guarantees).
-  [[nodiscard]] Group* pick_victim(const Group* self, bool for_master);
-  /// Records the first failure, closes every inbox so no participant stays
-  /// blocked, and marks the frame failed.
+  /// Largest-remaining victim, excluding `self`; null when every other
+  /// counter is drained.
+  [[nodiscard]] Group* pick_victim(const Group* self);
+  /// Records the first failure and marks the frame failed; participants
+  /// leave at their next chunk boundary.
   void fail_frame(std::exception_ptr error);
   void check_canceled() const {
     if (control_ == nullptr) return;
@@ -576,7 +544,7 @@ class DncSynthesizer {
   std::shared_ptr<render::Bus> bus_;  // lock-lint: unguarded(immutable after construction)
   /// One per group in tiled mode.
   std::vector<Tile> tiles_;   // lock-lint: unguarded(caller thread, between frames)
-  // Group is immovable (owns a queue).
+  // Group is immovable (holds an atomic).
   std::vector<std::unique_ptr<Group>> groups_;  // lock-lint: unguarded(sized at construction)
   render::Framebuffer final_;       // lock-lint: unguarded(caller thread, between frames)
   std::int64_t frame_serial_ = 0;   // lock-lint: unguarded(caller thread, between frames)
@@ -605,17 +573,12 @@ class DncSynthesizer {
   /// ends; in between, producers touch the entries and vertices under the
   /// MemoEntry::state protocol.
   std::vector<MemoBlock> memo_blocks_;  // lock-lint: unguarded(frame-setup, see above)
-  /// Master roles in hand-out order: groups that render this frame first,
-  /// then the groups that render nothing (clean or store-hit tiles).
-  std::vector<int> master_order_;  // lock-lint: unguarded(frame-setup, see above)
 
   // Participation state for the frame in flight.
   std::shared_ptr<FrameHandle> frame_handle_;  // lock-lint: unguarded(caller thread, between frames)
-  std::atomic<int> next_master_{0};   ///< master roles handed out
-  std::atomic<int> masters_done_{0};  ///< master roles completed (or bailed)
   /// Guards the participation fields below + slots_ growth.
   util::Mutex job_mutex_;
-  util::CondVar job_cv_;  ///< master/participant transitions
+  util::CondVar job_cv_;  ///< participant transitions
   /// Accepting participants.
   bool frame_open_ DCSN_GUARDED_BY(job_mutex_) = false;
   /// Includes the caller's reserved seat.
@@ -634,8 +597,8 @@ class DncSynthesizer {
   std::vector<std::uint8_t> slot_taken_ DCSN_GUARDED_BY(job_mutex_);
 
   // Frame failure protocol: the first participant to throw stores its
-  // exception, flips the flag, and closes every inbox; everyone else drains
-  // out and synthesize() rethrows on the caller thread.
+  // exception and flips the flag; everyone else drains out and synthesize()
+  // rethrows on the caller thread.
   std::atomic<bool> frame_failed_{false};
   util::Mutex error_mutex_;
   std::exception_ptr frame_error_ DCSN_GUARDED_BY(error_mutex_);

@@ -4,10 +4,10 @@
 // against, and failures produced by real races are unrepeatable by
 // definition. The FaultInjector makes them repeatable: named sites in the
 // hot paths (worker pickup, pipe submit, field sampling, tile-store
-// probe/publish, framebuffer checkout, master queue pop) consult a seeded
-// schedule that can throw, delay, or drop at each visit — with no wall
-// clocks and no std::rand, so scripts/determinism_lint.py stays green and a
-// torture run replays exactly from its seed.
+// probe/publish, framebuffer checkout, the caller's completion wait)
+// consult a seeded schedule that can throw, delay, or drop at each visit —
+// with no wall clocks and no std::rand, so scripts/determinism_lint.py
+// stays green and a torture run replays exactly from its seed.
 //
 // The schedule is a pure hash, not a shared counter, and that distinction
 // carries the replay guarantee. Sites split into two classes:
@@ -22,11 +22,12 @@
 //     the workload, independent of scheduling. bench_robustness replays a
 //     seed twice and demands identical counters; this is why it can.
 //
-//   * SCHEDULING sites (worker task pickup, master queue pop) are keyed by a
-//     per-site arrival counter and perturb only *when* work happens, never
-//     its outcome: a drop at queue pop models a spurious timeout, a drop at
-//     worker pickup models a worker that offers no capacity this round, and
-//     delays model preemption. Throws are demoted to drops here — a throw
+//   * SCHEDULING sites (worker task pickup, the caller's completion wait)
+//     are keyed by a per-site arrival counter and perturb only *when* work
+//     happens, never its outcome: a drop at queue pop models a spurious
+//     wakeup of the completion wait, a drop at worker pickup models a
+//     worker that offers no capacity this round, and delays model
+//     preemption. Throws are demoted to drops here — a throw
 //     escaping a pool worker's loop would kill the thread, which is an
 //     outage, not a fault. Their counters are telemetry only and are NOT
 //     replay-stable (arrival order is scheduling), which is exactly why no
@@ -50,7 +51,7 @@ namespace dcsn::core {
 
 enum class FaultSite : int {
   kWorkerPickup = 0,    ///< Runtime::worker_loop offering capacity (scheduling)
-  kQueuePop,            ///< a master's timed inbox wait (scheduling)
+  kQueuePop,            ///< the caller's frame-completion wait (scheduling)
   kPipeSubmit,          ///< a command buffer handed to a pipe (outcome)
   kFieldSample,         ///< spot-shape generation touching the field (outcome)
   kStoreProbe,          ///< TileStore lookup before rendering (outcome, contained)

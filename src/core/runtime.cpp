@@ -83,14 +83,6 @@ void Runtime::deregister_job(const SharedJob* job) {
   job_count_.store(static_cast<int>(jobs_.size()), std::memory_order_relaxed);
 }
 
-void Runtime::notify_workers() {
-  {
-    util::MutexLock lock(mutex_);
-    ++epoch_;
-  }
-  cv_.notify_all();
-}
-
 void Runtime::post(std::function<void()> fn) {
   {
     util::MutexLock lock(mutex_);

@@ -20,14 +20,15 @@
 //
 // Scheduling model. A frame job (one DncSynthesizer::synthesize call)
 // registers itself, and *participants* join it: always the calling thread,
-// plus pool workers up to the session's processor budget. Participants claim
-// group-master roles first and produce spot geometry after, stealing across
-// groups — and, because pool workers serve whichever registered job has
-// work, across *sessions*: util::StealableWorkCounter never cared which
-// thread claims a chunk, and the PR 4 determinism lattice guarantees the
-// pixels cannot depend on which session's worker rasterized what. The
-// calling thread always participates, so every frame makes progress even
-// when the pool is empty or absorbed by other sessions.
+// plus pool workers up to the session's processor budget. Each participant
+// claims chunks of spot geometry, generates them and submits the command
+// buffers straight to the destination GraphicsPipe, stealing across groups
+// — and, because pool workers serve whichever registered job has work,
+// across *sessions*: util::StealableWorkCounter never cared which thread
+// claims a chunk, and the contribution lattice guarantees the pixels
+// cannot depend on which session's worker generated what. The calling
+// thread always participates, so every frame makes progress even when the
+// pool is empty or absorbed by other sessions.
 //
 // One-shot tasks (post/async) ride the same pool: the pipelined animator's
 // prepare step and the serial synthesizer's partial workers are tasks, not
@@ -139,10 +140,6 @@ class Runtime {
   /// bounds per-job latency under cross-session load.
   void register_job(std::shared_ptr<SharedJob> job);
   void deregister_job(const SharedJob* job);
-
-  /// Wakes sleeping workers after new work appeared inside a registered job
-  /// (e.g. a group master started and its counter became claimable).
-  void notify_workers();
 
   /// Registered frame jobs right now (a lock-free snapshot). Sessions use
   /// this to classify work as cross-session: a chunk generated by a pool

@@ -69,7 +69,15 @@ class GraphicsPipe {
   GraphicsPipe(const GraphicsPipe&) = delete;
   GraphicsPipe& operator=(const GraphicsPipe&) = delete;
 
-  // --- command stream (call from the owning master thread) ---
+  // --- command stream ---
+  //
+  // submit(), submit_with_state_changes(), finish() and stats() are safe
+  // from any thread while a frame is in flight: every participant of a
+  // frame submits its own buffers, and each call only touches the
+  // internally locked queue, the stats mutex and the bus. The state
+  // commands (bind_profile, set_viewport_origin, resize_target, clear,
+  // set_bus) and read_back belong to the pipe's owner, which issues them
+  // only while no other thread submits.
 
   /// Binds a spot profile (a state change).
   void bind_profile(std::shared_ptr<const SpotProfile> profile);
@@ -153,10 +161,10 @@ class GraphicsPipe {
   void execute(Command& cmd);
   void pay_state_change();
 
-  // Caller-thread state: touched only by the owning master thread (the
+  // Owner state: written only by the state commands between frames (the
   // command-stream contract above), never by the server.
-  PipeConfig config_;       // lock-lint: unguarded(caller thread only)
-  std::shared_ptr<Bus> bus_;  // lock-lint: unguarded(caller thread only)
+  PipeConfig config_;       // lock-lint: unguarded(owner writes between frames only)
+  std::shared_ptr<Bus> bus_;  // lock-lint: unguarded(owner writes between frames only)
   int pipe_id_;             // lock-lint: unguarded(immutable after construction)
 
   // Server-thread state: touched only inside execute(), which runs solely on

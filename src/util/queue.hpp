@@ -1,20 +1,19 @@
 // Bounded multi-producer queue used for command streaming.
 //
-// In the divide-and-conquer engine, workers of a process group produce
-// command buffers of transformed spot geometry and the group's graphics pipe
-// consumes them. Command buffers are chunky (dozens of spots each), so a
-// mutex + condition-variable queue is plenty: the lock is taken a few
-// thousand times per frame, far from contention. Boundedness provides the
-// back-pressure that models a saturated pipe — when the pipe cannot keep up,
-// producers block, which is exactly the "starvation vs. saturation" balance
-// eq. 3.2 describes.
+// In the divide-and-conquer engine, every participant of a frame submits
+// command buffers of transformed spot geometry straight into a graphics
+// pipe's queue, and the pipe's server thread consumes them. Command buffers
+// are chunky (dozens of spots each), so a mutex + condition-variable queue
+// is plenty: the lock is taken a few thousand times per frame, far from
+// contention. Boundedness provides the back-pressure that models a
+// saturated pipe — when the pipe cannot keep up, submitters block, which is
+// exactly the "starvation vs. saturation" balance eq. 3.2 describes.
 //
 // Lock discipline is compiler-checked: items_ and closed_ are
 // DCSN_GUARDED_BY(mutex_), so under the `analyze` preset (clang
 // -Wthread-safety) any access outside a util::MutexLock is a build error.
 #pragma once
 
-#include <chrono>
 #include <deque>
 #include <optional>
 #include <utility>
@@ -53,19 +52,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking push that leaves `value` intact when the queue is full or
-  /// closed, so the caller can retry later (try_push consumes its argument
-  /// either way).
-  bool try_push_or_keep(T& value) {
-    {
-      MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(value));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks while empty. Returns nullopt once closed and drained.
   std::optional<T> pop() {
     MutexLock lock(mutex_);
@@ -73,37 +59,6 @@ class BoundedQueue {
       return closed_ || !items_.empty();
     });
     if (items_.empty()) return std::nullopt;  // closed and drained
-    T value = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// Blocks up to `timeout` for an item. Returns nullopt on timeout or once
-  /// closed and drained. Masters of the synthesis engine use this while
-  /// waiting out their in-flight accounting: a producer that claimed a range
-  /// may race to an empty claim and never push, so an unbounded pop() could
-  /// wait on a message that is provably never coming — the timeout bounds
-  /// that window and the caller rechecks its exit condition.
-  template <class Rep, class Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
-    MutexLock lock(mutex_);
-    not_empty_.wait_for(lock, timeout, [&]() DCSN_REQUIRES(mutex_) {
-      return closed_ || !items_.empty();
-    });
-    if (items_.empty()) return std::nullopt;  // timeout, or closed and drained
-    T value = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    MutexLock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
     T value = std::move(items_.front());
     items_.pop_front();
     lock.unlock();
@@ -121,26 +76,8 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  /// Reopens a drained, closed queue for reuse (e.g. between frames).
-  void reopen() {
-    MutexLock lock(mutex_);
-    closed_ = false;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    MutexLock lock(mutex_);
-    return items_.size();
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-  [[nodiscard]] bool closed() const {
-    MutexLock lock(mutex_);
-    return closed_;
-  }
-
  private:
-  mutable Mutex mutex_;
+  Mutex mutex_;
   CondVar not_empty_;
   CondVar not_full_;
   std::deque<T> items_ DCSN_GUARDED_BY(mutex_);

@@ -77,9 +77,8 @@ core::DncConfig tiled_dnc() {
 }
 
 /// A field whose sampling spins for `delay_per_sample` wall seconds. Slow
-/// producers are what starve a master into its timed inbox wait (the
-/// kQueuePop site): the producer registers its delivery as in-flight
-/// *before* generating, so the master sees inflight > 0 with nothing to do.
+/// participants are what keep the caller in its completion wait (the
+/// kQueuePop site): it has nothing left to claim while they still generate.
 std::unique_ptr<field::VectorField> spinning_field(double delay_per_sample) {
   return std::make_unique<field::CallableField>(
       [delay_per_sample](field::Vec2 p) -> field::Vec2 {
@@ -223,12 +222,13 @@ void run_engine_case(FaultSite site, bool delay_mode) {
   int pool_workers = 3;
   std::unique_ptr<field::VectorField> field;
   if (site == FaultSite::kQueuePop) {
-    // The timed inbox wait only runs when a master starves while deliveries
-    // are still in flight: tiny chunks claimed instantly but generated
-    // slowly by a crowd of producers keep that window open — which also
-    // makes this case the stress pin for the master-exit handshake (exit
-    // must terminate through injected spurious timeouts without losing a
-    // delivery).
+    // The completion wait only runs when the caller has nothing left to
+    // claim while other participants still generate: tiny chunks claimed
+    // instantly but generated slowly by a crowd of participants keep that
+    // window open. The two-deep pipe queue keeps those participants blocked
+    // on full pipe queues as they submit, which makes this case the stress
+    // pin for blocked submitters (the frame must complete through injected
+    // spurious wakeups without losing a buffer).
     dnc.chunk_spots = 1;
     dnc.pipe_queue_capacity = 2;
     dnc.processors = 4;
@@ -282,14 +282,14 @@ void run_engine_case(FaultSite site, bool delay_mode) {
 
   // Non-vacuity. Outcome sites fire as a pure function of the workload, so
   // kFrames frames either hit them or never will. Scheduling sites fire
-  // only when the racy window they model actually opens (a starved master,
-  // a worker pickup), which depends on the interleaving — if the main
-  // frames never opened it, force it open structurally instead of
-  // replaying the same schedule and hoping. One group, two wide chunks,
-  // tile cache off (a cache hit generates nothing and so can never
-  // starve): a single pool producer's register->generate->deliver cycle
-  // then spans half the frame, so the master reliably runs dry while a
-  // delivery is still in flight. (A 1-core TSan run can starve the
+  // only when the racy window they model actually opens (a caller out of
+  // work while others generate, a worker pickup), which depends on the
+  // interleaving — if the main frames never opened it, force it open
+  // structurally instead of replaying the same schedule and hoping. One
+  // group, two wide chunks, tile cache off (a cache hit generates nothing
+  // and so can never starve): a single pool participant's generate->submit
+  // cycle then spans half the frame, so the caller reliably runs dry while
+  // that chunk is still being generated. (A 1-core TSan run can starve the
   // tiny-chunk config above out of the window for entire frames at a
   // time, which is exactly the case this fallback exists for.)
   const auto site_evaluations = [&] {

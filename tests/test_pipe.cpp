@@ -1,8 +1,11 @@
 // Tests for the simulated graphics pipe and the bus model: asynchronous
-// execution, state machine semantics, fences, readback, stats, throttling.
+// execution, state machine semantics, fences, readback, stats, throttling,
+// and concurrent submitters.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "render/bus.hpp"
 #include "render/pipe.hpp"
@@ -242,6 +245,65 @@ TEST(GraphicsPipe, ReadBackMovesTextureOverBus) {
   bus->reset_stats();
   (void)pipe.read_back();
   EXPECT_EQ(bus->bytes_moved(), 4096u);
+}
+
+TEST(GraphicsPipe, ConcurrentSubmittersMatchOneSubmitter) {
+  // Every participant of an engine frame submits its own buffers into the
+  // pipe. Disjoint buffers from several threads at once must render the
+  // same bits as one thread submitting them in order (the contribution
+  // lattice makes the sum order-free), and the counters must add up. A
+  // two-deep queue keeps submitters blocked on a full queue most of the
+  // time.
+  constexpr int kThreads = 4;
+  constexpr int kBuffersEach = 40;
+  auto pc = small_pipe();
+  pc.queue_capacity = 2;
+  const auto profile = render::SpotProfile::make_shared(render::SpotShape::kGaussian);
+  // Overlapping quads with intensities whose plain float sums would depend
+  // on order. Every pixel's sum stays far inside the lattice's exact range
+  // (util::simd::kContributionExactBound): at most 160 x 0.22.
+  const auto buffer_of = [](int thread, int k) {
+    const auto x = static_cast<float>((thread * 7 + k * 3) % 16);
+    const auto y = static_cast<float>((thread * 5 + k) % 16);
+    return unit_quad(x, y, x + 16.0f, y + 16.0f,
+                     0.01f + 0.0013f * static_cast<float>(thread * kBuffersEach + k));
+  };
+
+  render::GraphicsPipe serial(pc, nullptr);
+  serial.bind_profile(profile);
+  serial.clear();
+  std::int64_t vertices = 0;
+  std::uint64_t bytes = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kBuffersEach; ++k) {
+      auto buffer = buffer_of(t, k);
+      vertices += static_cast<std::int64_t>(buffer.vertex_count());
+      bytes += buffer.byte_size();
+      serial.submit(std::move(buffer));
+    }
+  }
+  const render::Framebuffer expected = serial.read_back();
+
+  render::GraphicsPipe shared(pc, nullptr);
+  shared.bind_profile(profile);
+  shared.clear();
+  shared.finish();
+  shared.reset_stats();
+  std::vector<std::thread> submitters;
+  submitters.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&shared, &buffer_of, t] {
+      for (int k = 0; k < kBuffersEach; ++k) shared.submit(buffer_of(t, k));
+    });
+  }
+  for (auto& submitter : submitters) submitter.join();
+  shared.finish();
+  const render::PipeStats stats = shared.stats();
+  EXPECT_EQ(stats.buffers, kThreads * kBuffersEach);
+  EXPECT_EQ(stats.vertices, vertices);
+  EXPECT_EQ(stats.bytes_received, bytes);
+  EXPECT_TRUE(shared.read_back() == expected)
+      << "concurrent submission changed the rendered bits";
 }
 
 TEST(GraphicsPipe, DestructorDrainsCleanly) {

@@ -1,17 +1,23 @@
 // Tests for the load-balanced scheduler: StealableWorkCounter semantics,
 // cross-group work-stealing equivalence against the serial baseline,
-// cost-balanced (kd-cut) tiling, worker-exception propagation, and the
-// raster/tiling bound fixes that rode along with the scheduler PR.
+// cost-balanced (kd-cut) tiling, frames whose pool is absorbed by other
+// work, worker-exception propagation, and the raster/tiling bound fixes
+// that rode along with the scheduler.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <limits>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/dnc_synthesizer.hpp"
+#include "core/runtime.hpp"
 #include "core/serial_synthesizer.hpp"
+#include "core/spot_geometry.hpp"
 #include "core/spot_source.hpp"
 #include "core/tiling.hpp"
 #include "field/analytic.hpp"
@@ -194,7 +200,7 @@ TEST(Scheduling, StealingMatchesSerialAcrossModesAndPipeCounts) {
 
 TEST(Scheduling, ThievesDrainTheLoadedGroup) {
   // Grid tiling + clustered spots: one region holds nearly all the work, so
-  // the other groups' masters drain instantly and must steal.
+  // the other groups' participants drain instantly and must steal.
   auto config = small_config();
   config.spot_count = 2000;
   const Rect domain{0, 0, 2, 2};
@@ -261,6 +267,103 @@ TEST(Scheduling, ModeledCriticalPathIsConsistent) {
   EXPECT_GT(stats.modeled_textures_per_second(), 0.0);
 }
 
+// Vertices each tile's pipe must receive: its full assignment, whoever
+// generated the chunks.
+std::vector<std::int64_t> tile_vertex_shares(const core::SynthesisConfig& config,
+                                             const field::VectorField& f,
+                                             std::span<const core::SpotInstance> spots,
+                                             const core::DncSynthesizer& engine) {
+  const core::SpotGeometryGenerator generator(config, f);
+  const auto assignment = core::assign_spots_to_tiles(
+      spots, generator.mapping(), generator.max_extent_px(), engine.tiles());
+  std::vector<std::int64_t> shares;
+  for (const auto& list : assignment.per_tile) {
+    shares.push_back(static_cast<std::int64_t>(list.size()) * config.vertices_per_spot());
+  }
+  return shares;
+}
+
+TEST(Scheduling, AbsorbedPoolFrameCompletesOnTheCaller) {
+  // Other sessions can hold every pool worker for a whole frame. The frame
+  // must then complete on the calling thread alone, steal on or off, tiled
+  // or contiguous, and match a run whose pool is free bit for bit.
+  const auto config = small_config();
+  const Rect domain{0, 0, 2, 2};
+  const auto f = field::analytic::taylor_green(1.0, domain);
+  const auto spots = clustered_spots(config, domain);
+  for (const bool tiled : {false, true}) {
+    for (const bool steal : {false, true}) {
+      SCOPED_TRACE(std::string(tiled ? "tiled" : "contiguous") +
+                   (steal ? ", steal on" : ", steal off"));
+      core::DncConfig dnc;
+      dnc.processors = 4;
+      dnc.pipes = 4;
+      dnc.tiled = tiled;
+      dnc.tile_strategy = core::TileStrategy::kGrid;
+      dnc.steal = steal;
+
+      core::Runtime free_runtime({.workers = 3});
+      core::DncSynthesizer reference(config, dnc, free_runtime);
+      reference.synthesize(*f, spots);
+
+      core::Runtime runtime({.workers = 3});
+      core::DncSynthesizer engine(config, dnc, runtime);
+      const int workers = runtime.worker_count();
+      std::atomic<int> held{0};
+      std::latch release(1);
+      for (int w = 0; w < workers; ++w) {
+        runtime.post([&held, &release] {
+          held.fetch_add(1);
+          release.wait();
+        });
+      }
+      while (held.load() < workers) std::this_thread::yield();
+      const auto stats = engine.synthesize(*f, spots);
+      release.count_down();
+
+      EXPECT_TRUE(engine.texture() == reference.texture());
+      EXPECT_EQ(stats.cross_session_chunks, 0);
+      std::int64_t vertices = 0;
+      for (int g = 0; g < dnc.pipes; ++g) vertices += engine.pipe_stats(g).vertices;
+      EXPECT_EQ(vertices, stats.spots_submitted * config.vertices_per_spot());
+      if (tiled) {
+        const auto shares = tile_vertex_shares(config, *f, spots, engine);
+        for (int g = 0; g < dnc.pipes; ++g) {
+          EXPECT_EQ(engine.pipe_stats(g).vertices, shares[static_cast<std::size_t>(g)])
+              << "pipe " << g;
+        }
+      }
+    }
+  }
+}
+
+TEST(Scheduling, StaticTiledPartitionKeepsEachPipesShare) {
+  // Steal off with every participant free to join: each tile's pipe renders
+  // exactly its assignment and nothing crosses groups. (The contiguous
+  // counterpart is DncSynthesizer.MorePipesSplitWorkEvenly.)
+  const auto config = small_config();
+  const Rect domain{0, 0, 2, 2};
+  const auto f = field::analytic::taylor_green(1.0, domain);
+  const auto spots = clustered_spots(config, domain);
+  core::DncConfig dnc;
+  dnc.processors = 4;
+  dnc.pipes = 4;
+  dnc.tiled = true;
+  dnc.tile_strategy = core::TileStrategy::kGrid;
+  dnc.steal = false;
+  core::Runtime runtime({.workers = 3});
+  core::DncSynthesizer engine(config, dnc, runtime);
+  for (int frame = 0; frame < 3; ++frame) {
+    const auto stats = engine.synthesize(*f, spots);
+    EXPECT_EQ(stats.stolen_chunks, 0);
+    const auto shares = tile_vertex_shares(config, *f, spots, engine);
+    for (int g = 0; g < dnc.pipes; ++g) {
+      EXPECT_EQ(engine.pipe_stats(g).vertices, shares[static_cast<std::size_t>(g)])
+          << "frame " << frame << ", pipe " << g;
+    }
+  }
+}
+
 // ------------------------------------------------- worker exception protocol ---
 
 // A field whose sample() throws inside the workers' generate calls — the
@@ -285,7 +388,7 @@ TEST(Scheduling, WorkerExceptionRethrownOnCallerAndEngineStaysUsable) {
   for (const bool tiled : {false, true}) {
     core::DncConfig dnc;
     dnc.processors = 4;
-    dnc.pipes = 2;  // masters and slaves both in play
+    dnc.pipes = 2;  // two participants per group
     dnc.tiled = tiled;
     core::DncSynthesizer engine(config, dnc);
     // Without the exception protocol this call never returns: the throwing

@@ -217,103 +217,6 @@ TEST(BoundedQueue, BlockingHandoffAcrossThreads) {
   EXPECT_EQ(expected, kItems);
 }
 
-TEST(BoundedQueue, ReopenAfterClose) {
-  util::BoundedQueue<int> q(4);
-  q.close();
-  EXPECT_FALSE(q.push(1));
-  q.reopen();
-  EXPECT_TRUE(q.push(1));
-  EXPECT_EQ(q.pop().value(), 1);
-}
-
-// pop_for pins. The engine's group masters wait out their in-flight
-// accounting on pop_for (a producer that raced to an empty claim may never
-// push, so an unbounded pop could wait forever). These tests pin the
-// contract that audit relies on: the predicate re-check makes spurious
-// condvar wakeups invisible, a timeout never consumes an item, close() cuts
-// a long wait short, and no item is lost when timeouts race pushes.
-
-TEST(BoundedQueue, PopForDeliversItemPushedMidWait) {
-  util::BoundedQueue<int> q(4);
-  std::thread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.push(7);
-  });
-  // Far longer than the push delay: a lost wakeup would eat the whole
-  // timeout and return nullopt even though an item arrived.
-  const auto v = q.pop_for(std::chrono::seconds(30));
-  producer.join();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-}
-
-TEST(BoundedQueue, PopForTimeoutLeavesLaterItemsIntact) {
-  util::BoundedQueue<int> q(4);
-  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds(1)).has_value());
-  q.push(9);
-  // The timed-out pop must not have consumed or corrupted anything.
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(1)).value(), 9);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueue, CloseCutsPopForWaitShort) {
-  util::BoundedQueue<int> q(4);
-  const util::Stopwatch elapsed;
-  std::thread closer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.close();
-  });
-  EXPECT_FALSE(q.pop_for(std::chrono::seconds(30)).has_value());
-  EXPECT_LT(elapsed.seconds(), 10.0) << "close() must wake a pop_for waiter";
-  closer.join();
-}
-
-TEST(BoundedQueue, PopForConservesItemsUnderTimeoutChurn) {
-  // Producers block on push (capacity 2 forces handoff), consumers spin on
-  // short pop_for timeouts — the master-exit pattern. Every pushed item must
-  // be popped exactly once: a pop_for that times out *while* a push commits
-  // must leave the item for the next call.
-  util::BoundedQueue<int> q(2);
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  constexpr int kItemsEach = 400;
-  std::atomic<std::int64_t> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kProducers + kConsumers);
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kItemsEach; ++i) q.push(p * kItemsEach + i);
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&q, &sum, &popped] {
-      for (;;) {
-        if (auto v = q.pop_for(std::chrono::microseconds(200))) {
-          sum.fetch_add(*v, std::memory_order_relaxed);
-          popped.fetch_add(1, std::memory_order_relaxed);
-        } else if (q.closed()) {
-          // Drain whatever raced in between the last timeout and close.
-          while (auto rest = q.try_pop()) {
-            sum.fetch_add(*rest, std::memory_order_relaxed);
-            popped.fetch_add(1, std::memory_order_relaxed);
-          }
-          return;
-        }
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<std::size_t>(p)].join();
-  q.close();
-  for (int c = 0; c < kConsumers; ++c) {
-    threads[static_cast<std::size_t>(kProducers + c)].join();
-  }
-  constexpr int kTotal = kProducers * kItemsEach;
-  EXPECT_EQ(popped.load(), kTotal);
-  EXPECT_EQ(sum.load(),
-            static_cast<std::int64_t>(kTotal) * (kTotal - 1) / 2);
-}
-
 // ------------------------------------------------------------- WorkCounter ---
 
 TEST(WorkCounter, CoversRangeExactlyOnce) {
