@@ -301,7 +301,7 @@ else
 fi
 
 # The scheduler's cross-group stealing, the shared runtime/service, the
-# engine's trace-once memo (DncSynthesizer.SeamSpotsTracedOncePerFrame in
+# engine's seam-spot fan-out (DncSynthesizer.SeamSpotsTracedOncePerFrame in
 # test_synthesizers, incremental frames in test_incremental), and the
 # pipe/queue machinery are the code where a data race would hide; run exactly
 # those suites instrumented. gtest discovery re-runs each binary, so build

@@ -86,10 +86,7 @@ DncSynthesizer::DncSynthesizer(SynthesisConfig synthesis, DncConfig dnc,
       dnc_(dnc),
       runtime_(&runtime),
       final_(synthesis.texture_width, synthesis.texture_height),
-      faults_(runtime.faults()),
-      memo_stride_(static_cast<std::size_t>(synthesis.vertices_per_spot())),
-      memo_per_block_(std::max<std::size_t>(
-          1, kMemoBlockBytes / (memo_stride_ * sizeof(render::MeshVertex)))) {
+      faults_(runtime.faults()) {
   DCSN_CHECK(dnc_.pipes >= 1, "need at least one graphics pipe");
   DCSN_CHECK(dnc_.processors >= dnc_.pipes,
              "each pipe needs at least one processor (its affinity participant)");
@@ -162,10 +159,7 @@ render::PipeStats DncSynthesizer::pipe_stats(int pipe) const {
 
 std::int64_t DncSynthesizer::global_index(const Group& group,
                                           std::int64_t local) const {
-  if (group.tile_indices == nullptr) return group.begin + local;
-  const auto n = static_cast<std::int64_t>(group.tile_indices->size());
-  const std::int64_t at = group.start + local;
-  return (*group.tile_indices)[static_cast<std::size_t>(at < n ? at : at - n)];
+  return dnc_.tiled ? group.home[static_cast<std::size_t>(local)] : group.begin + local;
 }
 
 void DncSynthesizer::submit_to_pipe(Group& group, render::CommandBuffer&& buffer,
@@ -209,88 +203,59 @@ std::vector<double> DncSynthesizer::estimate_spot_costs(
   return costs;
 }
 
-void DncSynthesizer::prepare_geometry_memo(std::size_t spot_count) {
-  memo_slot_.clear();  // off unless this frame has duplicates to share
-  memo_blocks_.clear();
-  for (auto& group : groups_) group->start = 0;
-  if (synthesis_.kind != SpotKind::kBent) return;
-  const auto active = std::count_if(groups_.begin(), groups_.end(),
-                                    [](const auto& g) { return g->active; });
-  if (active < 2) return;
-  // Count each spot's active tiles, then number the spots with two or more.
-  memo_slot_.assign(spot_count, 0);
-  for (const auto& group : groups_) {
-    if (!group->active) continue;
-    for (const std::int64_t k : *group->tile_indices) {
-      ++memo_slot_[static_cast<std::size_t>(k)];
+void DncSynthesizer::prepare_fan_out(std::size_t spot_count) {
+  const auto list_of = [&](std::size_t g) -> const std::vector<std::int64_t>& {
+    return groups_[g]->delta ? job_delta_.per_tile[g] : job_assignment_.per_tile[g];
+  };
+  // Counting sort of the active lists by global index: spot k's
+  // destinations are the active groups that list it, in group order.
+  dest_begin_.assign(spot_count + 1, 0);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    if (!groups_[g]->active) continue;
+    for (const std::int64_t k : list_of(g)) ++dest_begin_[static_cast<std::size_t>(k) + 1];
+  }
+  std::partial_sum(dest_begin_.begin(), dest_begin_.end(), dest_begin_.begin());
+  dest_groups_.resize(static_cast<std::size_t>(dest_begin_.back()));
+  std::vector<std::int64_t> next(dest_begin_.begin(), dest_begin_.end() - 1);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    if (!groups_[g]->active) continue;
+    for (const std::int64_t k : list_of(g)) {
+      dest_groups_[static_cast<std::size_t>(next[static_cast<std::size_t>(k)]++)] =
+          static_cast<std::int32_t>(g);
     }
   }
-  std::int32_t slots = 0;
-  for (std::int32_t& slot : memo_slot_) slot = slot >= 2 ? slots++ : -1;
-  if (slots == 0) {
-    memo_slot_.clear();
-    return;
+  // A spot's home is the destination whose tile holds its mapped centre —
+  // the kd-cut balances tiles by centres, so this balances generation the
+  // same way — else its first destination (a NaN position, or a centre in
+  // a clean tile).
+  for (auto& group : groups_) group->home.clear();
+  const render::WorldToImage& mapping = job_generator_->mapping();
+  for (std::size_t k = 0; k < spot_count; ++k) {
+    const auto dests = destinations(static_cast<std::int64_t>(k));
+    if (dests.empty()) continue;
+    const auto [px, py] = mapping.map(spot_at(static_cast<std::int64_t>(k)).position);
+    const auto holds_centre = [&](std::int32_t d) {
+      const Tile& tile = tiles_[static_cast<std::size_t>(d)];
+      return px >= tile.x0 && px < tile.x0 + tile.width && py >= tile.y0 &&
+             py < tile.y0 + tile.height;
+    };
+    const auto home = std::ranges::find_if(dests, holds_centre);
+    groups_[static_cast<std::size_t>(home != dests.end() ? *home : dests.front())]
+        ->home.push_back(static_cast<std::int64_t>(k));
   }
-  // Every tile lists its spots in global order, so producers of two tiles
-  // that start together reach their shared spots together and keep finding
-  // each other's claims; a claim deferred to the end of a chunk then often
-  // ends in a private trace. Active tile i of n starts i/n of the way into
-  // its list (wrapping), so overlapping tiles walk their shared spots at
-  // different times and the later one finds the mesh ready.
-  std::int64_t rank = 0;
+  // Spots with the same destinations sit together, so a chunk's copies go
+  // to few pipes in few buffers: the spots no other tile lists first, then
+  // the shared ones sorted by destinations. Sorting only the shared tail
+  // saves ~60 us a frame on perfbench animate's shape over a whole-list
+  // sort, with the same buffer count.
   for (auto& group : groups_) {
-    if (!group->active) continue;
-    group->start = group->total_items * rank++ / active;
+    const auto shared = std::ranges::stable_partition(
+        group->home, [&](std::int64_t k) { return destinations(k).size() == 1; });
+    std::ranges::stable_sort(shared, [&](std::int64_t a, std::int64_t b) {
+      return std::ranges::lexicographical_compare(destinations(a), destinations(b));
+    });
+    group->work->reset(static_cast<std::int64_t>(group->home.size()));
   }
-  // Blocks sized to this frame's duplicates, freed when its parallel phase
-  // ends; fresh entries start kMemoEmpty. Participants see them through the
-  // frame-open transition.
-  const std::size_t per_block = memo_per_block_;
-  const std::size_t blocks = (static_cast<std::size_t>(slots) + per_block - 1) / per_block;
-  memo_blocks_.reserve(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    memo_blocks_.push_back({std::make_unique<MemoEntry[]>(per_block),
-                            std::make_unique<render::MeshVertex[]>(per_block * memo_stride_)});
-  }
-}
-
-std::pair<DncSynthesizer::MemoEntry*, render::MeshVertex*> DncSynthesizer::memo_of(
-    std::int64_t k) const {
-  const auto index = static_cast<std::size_t>(memo_slot_[static_cast<std::size_t>(k)]);
-  const MemoBlock& block = memo_blocks_[index / memo_per_block_];
-  const std::size_t at = index % memo_per_block_;
-  return {&block.entries[at], block.vertices.get() + at * memo_stride_};
-}
-
-DncSynthesizer::MemoClaim DncSynthesizer::claim_memo(std::int64_t k,
-                                                     render::CommandBuffer& out,
-                                                     Slot& slot) const {
-  const auto [entry, stored] = memo_of(k);
-  std::uint8_t state = entry->state.load(std::memory_order_acquire);
-  if (state == kMemoEmpty &&
-      entry->state.compare_exchange_strong(state, kMemoClaimed,
-                                           std::memory_order_acquire)) {
-    return MemoClaim::kTrace;
-  }
-  if (state == kMemoReady) {
-    const auto vertices = out.add_mesh(entry->intensity, entry->cols, entry->rows);
-    std::copy_n(stored, vertices.size(), vertices.begin());
-    slot.geometry_reused += 1;
-    return MemoClaim::kCopied;
-  }
-  return MemoClaim::kBusy;
-}
-
-void DncSynthesizer::publish_memo(std::int64_t k, const render::CommandBuffer& out,
-                                  std::size_t mesh) const {
-  const auto [entry, stored] = memo_of(k);
-  const render::MeshHeader& header = out.meshes()[mesh];
-  const auto vertices = out.vertices_of(header);
-  std::copy(vertices.begin(), vertices.end(), stored);
-  entry->intensity = header.intensity;
-  entry->cols = header.cols;
-  entry->rows = header.rows;
-  entry->state.store(kMemoReady, std::memory_order_release);
 }
 
 void DncSynthesizer::assign_delta(const FramePlan* plan) {
@@ -398,8 +363,7 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
       // the plan carries no delta for this tile.
       const auto& delta = job_delta_.per_tile[static_cast<std::size_t>(g)];
       group.delta = dirty && !delta.empty() && delta.size() < full.size();
-      group.tile_indices = group.delta ? &delta : &full;
-      const auto n = static_cast<std::int64_t>(group.tile_indices->size());
+      const auto n = static_cast<std::int64_t>(group.delta ? delta.size() : full.size());
       group.cache_hit = false;
       if (store != nullptr) {
         // Keys name the tile's content, so they hash the full list.
@@ -428,8 +392,6 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
       }
       group.active = dirty && !group.cache_hit;
       if (group.active) {
-        group.total_items = n;
-        group.work->reset(n);
         assigned[static_cast<std::size_t>(g)] = n;
         stats.spots_submitted += n;
         if (group.delta) {
@@ -441,8 +403,6 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
         // (identical content already rendered, possibly by another
         // session): nothing to generate or rasterize. The group's
         // participants still act as thieves for dirty groups.
-        group.total_items = 0;
-        group.work->reset(0);
         if (!group.cache_hit) {
           stats.tiles_reused += 1;
           stats.spots_skipped += static_cast<std::int64_t>(full.size());
@@ -450,19 +410,17 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
       }
     }
     stats.duplicated_spots = job_assignment_.duplicates;
-    prepare_geometry_memo(spots.size() + job_removed_.size());
+    prepare_fan_out(spots.size() + job_removed_.size());
   } else {
     const auto n = static_cast<std::int64_t>(spots.size());
     std::int64_t begin = 0;
     for (int g = 0; g < dnc_.pipes; ++g) {
       Group& group = *groups_[static_cast<std::size_t>(g)];
       const std::int64_t share = n / dnc_.pipes + (g < n % dnc_.pipes ? 1 : 0);
-      group.tile_indices = nullptr;
       group.delta = false;
       group.begin = begin;
       group.end = begin + share;
       begin += share;
-      group.total_items = share;
       group.work->reset(share);
       group.active = true;
       group.cache_hit = false;
@@ -528,10 +486,6 @@ FrameStats DncSynthesizer::synthesize(const field::VectorField& f,
   runtime_->register_job(frame_handle_);
   serve_frame(/*is_caller=*/true);
   runtime_->deregister_job(frame_handle_.get());
-  // The memo lives for the parallel phase only; between frames it holds no
-  // memory (see prepare_geometry_memo).
-  memo_slot_.clear();
-  memo_blocks_.clear();
   // Every submitted chunk is in a pipe queue now. Fence the rendering pipes
   // before the gather clock starts, so gather_seconds excludes raster wait.
   // A failed frame fences too: its leftover buffers drain before the next
@@ -810,15 +764,15 @@ bool DncSynthesizer::participant_loop(Slot& slot, int ordinal, bool is_caller) {
   }
 }
 
-DncSynthesizer::Group* DncSynthesizer::pick_victim(const Group* self) {
-  Group* best = nullptr;
+int DncSynthesizer::pick_victim(int self) const {
+  int best = -1;
   std::int64_t best_remaining = 0;
-  for (auto& candidate : groups_) {
-    if (candidate.get() == self) continue;
-    const std::int64_t r = candidate->work->remaining();
+  for (int g = 0; g < dnc_.pipes; ++g) {
+    if (g == self) continue;
+    const std::int64_t r = groups_[static_cast<std::size_t>(g)]->work->remaining();
     if (r > best_remaining) {
       best_remaining = r;
-      best = candidate.get();
+      best = g;
     }
   }
   return best;
@@ -827,16 +781,23 @@ DncSynthesizer::Group* DncSynthesizer::pick_victim(const Group* self) {
 bool DncSynthesizer::producer_once(Slot& slot, int ordinal, bool is_caller) {
   if (frame_failed_.load(std::memory_order_relaxed)) return false;
   check_canceled();
-  const auto produce = [&](Group& group, util::StealableWorkCounter::Range range) {
-    FaultInjector::Batch submit_faults;
-    render::CommandBuffer buffer =
-        generate_chunk(group, range, slot, is_caller, &submit_faults);
-    submit_to_pipe(group, std::move(buffer), submit_faults);
+  std::vector<ChunkOutput> out;
+  const auto generate = [&](int g, util::StealableWorkCounter::Range range) {
+    out.resize(groups_.size());
+    generate_chunk(g, range, slot, is_caller, out);
+  };
+  const auto submit = [&] {
+    for (std::size_t d = 0; d < out.size(); ++d) {
+      if (out[d].buffer.empty()) continue;
+      submit_to_pipe(*groups_[d], std::move(out[d].buffer), out[d].submit_faults);
+    }
   };
   // Affinity first, from the front of the counter.
-  Group& own = *groups_[static_cast<std::size_t>(ordinal % dnc_.pipes)];
-  if (const auto range = own.work->claim(); !range.empty()) {
-    produce(own, range);
+  const int own = ordinal % dnc_.pipes;
+  if (const auto range = groups_[static_cast<std::size_t>(own)]->work->claim();
+      !range.empty()) {
+    generate(own, range);
+    submit();
     return true;
   }
   if (!dnc_.steal) {
@@ -844,35 +805,38 @@ bool DncSynthesizer::producer_once(Slot& slot, int ordinal, bool is_caller) {
     // only. The caller is the exception for groups no pool worker joined
     // for, so a frame completes when other sessions absorbed the pool.
     if (!is_caller) return false;
-    for (auto& group : groups_) {
-      if (group->joined.load(std::memory_order_relaxed)) continue;
-      if (const auto range = group->work->claim(); !range.empty()) {
-        produce(*group, range);
+    for (int g = 0; g < dnc_.pipes; ++g) {
+      Group& group = *groups_[static_cast<std::size_t>(g)];
+      if (group.joined.load(std::memory_order_relaxed)) continue;
+      if (const auto range = group.work->claim(); !range.empty()) {
+        generate(g, range);
+        submit();
         return true;
       }
     }
     return false;
   }
-  Group* victim = pick_victim(&own);
-  if (victim == nullptr) return false;
-  const auto range = victim->work->steal(dnc_.chunk_spots);
+  const int victim = pick_victim(own);
+  if (victim < 0) return false;
+  const Group& loser = *groups_[static_cast<std::size_t>(victim)];
+  const auto range = loser.work->steal(dnc_.chunk_spots);
   if (range.empty()) return true;  // raced with the owner; rescan
   const util::ThreadCpuStopwatch watch;
-  FaultInjector::Batch submit_faults;
-  render::CommandBuffer buffer =
-      generate_chunk(*victim, range, slot, is_caller, &submit_faults);
+  generate(victim, range);
   slot.steal_seconds += watch.seconds();
   slot.stolen_chunks += 1;
   slot.stolen_spots += range.size();
-  // Tiled mode has no choice: only the owning group's pipe renders the
-  // stolen region. Contiguous mode sends the loot to the lighter of the
-  // thief's and the victim's pipes by submitted geometry bytes: addition
-  // commutes across pipes, so this balances rasterization the way stealing
-  // balances generation, and the comparison keeps tail-end steals from
-  // unbalancing an already even frame.
-  const bool to_own = !dnc_.tiled && own.pipe->stats().bytes_received <
-                                         victim->pipe->stats().bytes_received;
-  submit_to_pipe(to_own ? own : *victim, std::move(buffer), submit_faults);
+  // Tiled mode has no choice: only a tile's own pipe renders its region,
+  // so every buffer goes to its destination. Contiguous mode sends the
+  // loot to the lighter of the thief's and the victim's pipes by submitted
+  // geometry bytes: addition commutes across pipes, so this balances
+  // rasterization the way stealing balances generation, and the comparison
+  // keeps tail-end steals from unbalancing an already even frame.
+  if (!dnc_.tiled && groups_[static_cast<std::size_t>(own)]->pipe->stats().bytes_received <
+                         loser.pipe->stats().bytes_received) {
+    std::swap(out[static_cast<std::size_t>(own)], out[static_cast<std::size_t>(victim)]);
+  }
+  submit();
   return true;
 }
 
@@ -884,79 +848,75 @@ void DncSynthesizer::fail_frame(std::exception_ptr error) {
   frame_failed_.store(true, std::memory_order_release);
 }
 
-render::CommandBuffer DncSynthesizer::generate_chunk(
-    const Group& group, util::StealableWorkCounter::Range range, Slot& slot,
-    bool is_caller, FaultInjector::Batch* submit_faults) {
+void DncSynthesizer::generate_chunk(int g, util::StealableWorkCounter::Range range,
+                                    Slot& slot, bool is_caller,
+                                    std::span<ChunkOutput> out) {
   check_canceled();
   const util::ThreadCpuStopwatch watch;
-  render::CommandBuffer buffer;
-  buffer.reserve(static_cast<std::size_t>(range.size()),
-                 static_cast<std::size_t>(synthesis_.vertices_per_spot()));
-  // Spots waiting for one lane-group trace, each with the global index it
-  // publishes its memo under (-1: none). Mesh order within a buffer never
-  // shows in a pixel: lattice-snapped contributions sum exactly in any
-  // order.
-  constexpr std::size_t kGroup = SpotGeometryGenerator::kGroupSpots;
-  std::array<const SpotInstance*, kGroup> pending;
-  std::array<std::int64_t, kGroup> publish;
-  std::size_t grouped = 0;
-  const auto flush = [&] {
-    const std::size_t first_mesh = buffer.mesh_count();
-    job_generator_->generate_group(std::span(pending.data(), grouped), buffer);
-    for (std::size_t i = 0; i < grouped; ++i) {
-      if (publish[i] >= 0) publish_memo(publish[i], buffer, first_mesh + i);
-    }
-    grouped = 0;
+  const Group& group = *groups_[static_cast<std::size_t>(g)];
+  const auto home = static_cast<std::int32_t>(g);
+  const auto destinations_of = [&](std::int64_t k) {
+    return dnc_.tiled ? destinations(k) : std::span<const std::int32_t>(&home, 1);
   };
-  const auto trace = [&](std::int64_t k, bool publishes) {
-    pending[grouped] = &spot_at(k);
-    publish[grouped] = publishes ? k : -1;
-    if (++grouped == kGroup) flush();
-  };
-  // Memoized spots another producer is still tracing, revisited after the
-  // rest of the chunk.
-  std::array<std::int64_t, 64> deferred;
-  std::size_t n_deferred = 0;
   const auto spot_count = static_cast<std::int64_t>(job_spots_.size());
   for (std::int64_t local = range.begin; local < range.end; ++local) {
     const std::int64_t k = global_index(group, local);
-    // Both outcome sites key on the spot's *global* index, not the chunk:
-    // every spot is generated exactly once per attempt no matter how
-    // stealing partitioned the counter, so the union of draws — and with
-    // it the attempt's verdict — is a pure function of workload and seed.
-    // kFieldSample strikes here (a poisoned field callback, or virtual
-    // delay charged against the deadline); the spot's kPipeSubmit decision
-    // is pre-drawn into the buffer's batch and strikes at submit time.
-    // A removed (negated old) instance keys on its place in the plan with
-    // bit 62 set, so it never shares a key with a spot of this frame.
+    // Both outcome sites key on the spot's *global* index, not the chunk,
+    // once per destination tile: every spot reaches each of its tiles
+    // exactly once per attempt no matter how stealing partitioned the
+    // counter, so the union of draws — and with it the attempt's verdict —
+    // is a pure function of workload and seed. kFieldSample strikes here (a
+    // poisoned field callback, or virtual delay charged against the
+    // deadline); the spot's kPipeSubmit decision is pre-drawn into the
+    // destination's batch and strikes at submit time. A removed (negated
+    // old) instance keys on its place in the plan with bit 62 set, so it
+    // never shares a key with a spot of this frame.
     const auto subkey = static_cast<std::uint64_t>(
         k < spot_count ? k : (k - spot_count) | (std::int64_t{1} << 62));
-    fault_point(FaultSite::kFieldSample, 0x6669656c64ULL ^ subkey);
-    fault_predraw(FaultSite::kPipeSubmit, 0x7069706573ULL ^ subkey, submit_faults);
-    if (memo_slot_.empty() || memo_slot_[static_cast<std::size_t>(k)] < 0) {
-      trace(k, false);
-      continue;
-    }
-    switch (claim_memo(k, buffer, slot)) {
-      case MemoClaim::kTrace:
-        trace(k, true);
-        break;
-      case MemoClaim::kCopied:
-        break;
-      case MemoClaim::kBusy:
-        if (n_deferred < deferred.size()) {
-          deferred[n_deferred++] = k;
-        } else {
-          trace(k, false);
-        }
-        break;
+    for (const std::int32_t d : destinations_of(k)) {
+      ChunkOutput& to = out[static_cast<std::size_t>(d)];
+      fault_point(FaultSite::kFieldSample, 0x6669656c64ULL ^ subkey);
+      fault_predraw(FaultSite::kPipeSubmit, 0x7069706573ULL ^ subkey, &to.submit_faults);
+      to.spots += 1;
     }
   }
-  if (grouped > 0) flush();
-  // Still busy at the end of the chunk: never wait, trace a private copy.
-  for (std::size_t i = 0; i < n_deferred; ++i) {
-    const MemoClaim claim = claim_memo(deferred[i], buffer, slot);
-    if (claim != MemoClaim::kCopied) trace(deferred[i], claim == MemoClaim::kTrace);
+  // Each buffer is reserved to exactly the meshes it receives: a copy
+  // buffer often takes a handful, and a whole chunk's reservation would sit
+  // in its pipe queue unused.
+  const auto per_spot = static_cast<std::size_t>(synthesis_.vertices_per_spot());
+  for (ChunkOutput& to : out) {
+    if (to.spots > 0) to.buffer.reserve(static_cast<std::size_t>(to.spots), per_spot);
+  }
+  // Spots waiting for one lane-group trace. After the trace each mesh is
+  // copied into the buffers of its spot's other destinations. Mesh order
+  // within a buffer never shows in a pixel: lattice-snapped contributions
+  // sum exactly in any order.
+  constexpr std::size_t kGroup = SpotGeometryGenerator::kGroupSpots;
+  std::array<const SpotInstance*, kGroup> pending;
+  std::array<std::int64_t, kGroup> pending_k;
+  std::size_t grouped = 0;
+  render::CommandBuffer& traced = out[static_cast<std::size_t>(g)].buffer;
+  const auto flush = [&] {
+    const std::size_t first_mesh = traced.mesh_count();
+    job_generator_->generate_group(std::span(pending.data(), grouped), traced);
+    for (std::size_t i = 0; i < grouped; ++i) {
+      const render::MeshHeader& mesh = traced.meshes()[first_mesh + i];
+      const auto vertices = traced.vertices_of(mesh);
+      for (const std::int32_t d : destinations_of(pending_k[i])) {
+        if (d == home) continue;
+        const auto copy = out[static_cast<std::size_t>(d)].buffer.add_mesh(
+            mesh.intensity, mesh.cols, mesh.rows);
+        std::ranges::copy(vertices, copy.begin());
+        slot.geometry_reused += 1;
+      }
+    }
+    grouped = 0;
+  };
+  for (std::int64_t local = range.begin; local < range.end; ++local) {
+    const std::int64_t k = global_index(group, local);
+    pending[grouped] = &spot_at(k);
+    pending_k[grouped] = k;
+    if (++grouped == kGroup) flush();
   }
   if (grouped > 0) flush();
   slot.genP_seconds += watch.seconds();
@@ -970,7 +930,6 @@ render::CommandBuffer DncSynthesizer::generate_chunk(
   if (control_ != nullptr) {
     control_->progress.fetch_add(1, std::memory_order_relaxed);
   }
-  return buffer;
 }
 
 }  // namespace dcsn::core

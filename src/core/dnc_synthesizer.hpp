@@ -18,6 +18,8 @@
 // instead (texture decomposition): spots are assigned to regions by
 // location in a preprocessing step, spots near boundaries are duplicated
 // into every region they may touch, and the final compose is a cheap copy.
+// A duplicated spot is still traced once: by its home group, which copies
+// the mesh into the buffers of the spot's other regions.
 //
 // Ownership (see core/runtime.hpp): a synthesizer owns no worker threads,
 // pipes or readback buffers — it *borrows* them from a core::Runtime (the
@@ -51,6 +53,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/frame_delta.hpp"
@@ -184,8 +187,9 @@ struct FrameStats {
   std::int64_t spots = 0;            ///< input spot count
   std::int64_t spots_submitted = 0;  ///< includes tiling duplicates
   std::int64_t duplicated_spots = 0;  ///< assignments beyond one per spot
-  /// Tiled bent-spot frames: meshes copied from the frame's trace-once memo
-  /// instead of traced again — the duplicated spots that cost no genP.
+  /// Tiled frames: meshes copied from a spot's home group into the buffers
+  /// of its other active tiles instead of traced again — one per duplicate
+  /// assignment among the active tiles, none of which costs genP.
   std::int64_t geometry_reused = 0;
   std::int64_t vertices = 0;
   std::uint64_t geometry_bytes = 0;  ///< vertex traffic to the pipes
@@ -331,13 +335,11 @@ class DncSynthesizer {
   struct Group {
     PipeLease pipe;
     std::unique_ptr<util::StealableWorkCounter> work;  ///< over the group's local indices
-    const std::vector<std::int64_t>* tile_indices = nullptr;  ///< tiled mode
-    /// Tiled mode: local index 0 maps to tile_indices[start], wrapping.
-    /// Nonzero only in trace-once memo frames (see prepare_geometry_memo).
-    std::int64_t start = 0;
+    /// Tiled mode: the global indices of the spots this group traces (its
+    /// home spots, see prepare_fan_out); local index i names home[i].
+    std::vector<std::int64_t> home;
     std::int64_t begin = 0;  ///< contiguous mode: global range [begin, end)
     std::int64_t end = 0;
-    std::int64_t total_items = 0;  ///< spots assigned to this group this frame
     /// Cleared for a clean tile of an incremental frame: the group renders
     /// nothing (participants still steal for dirty groups) and the gather
     /// retains its texture region.
@@ -346,8 +348,8 @@ class DncSynthesizer {
     /// tile the group renders nothing, but the gather composes the pinned
     /// cache pixels instead of retaining final_'s region.
     bool cache_hit = false;
-    /// The group renders the plan's delta for its tile (tile_indices points
-    /// into job_delta_) and the gather adds the readback onto final_.
+    /// The group renders its tile's share of the plan's delta (job_delta_)
+    /// and the gather adds the readback onto final_.
     bool delta = false;
     /// A pool worker with this group as its affinity joined the frame. With
     /// steal off the caller serves the groups where this stays clear, so a
@@ -372,35 +374,12 @@ class DncSynthesizer {
     std::int64_t cross_session_spots = 0;
     std::int64_t geometry_reused = 0;
   };
-  /// The trace-once memo. In a tiled bent-spot frame with two or more
-  /// active tiles, every spot assigned to more than one of them gets a
-  /// slot: the first producer to reach the spot claims the slot, traces,
-  /// stores the mesh and marks it ready; producers for the spot's other
-  /// tiles copy the vertices. A producer finding the slot claimed but not
-  /// ready never waits: it moves on and comes back to the spot at the end
-  /// of its chunk, then copies or traces a private copy. A claimed spot
-  /// joins its producer's next lane group and is published once that group
-  /// is traced. The memo lives for one frame's parallel phase.
-  enum MemoState : std::uint8_t { kMemoEmpty, kMemoClaimed, kMemoReady };
-  struct MemoEntry {
-    std::atomic<std::uint8_t> state{kMemoEmpty};
-    // Written by the claiming producer before its release store of
-    // kMemoReady; read only after an acquire load observes kMemoReady.
-    float intensity = 0.0f;
-    std::uint16_t cols = 0;
-    std::uint16_t rows = 0;
-  };
-  /// Memo storage comes in blocks kept under glibc's 128 KiB mmap
-  /// threshold: freeing a larger block raises the dynamic threshold, after
-  /// which the runtime's 256 KiB textures stay on the heap instead of going
-  /// back to the OS (measured as +13-32% peak RSS). The blocks are sized to
-  /// the frame's duplicates and freed when its parallel phase ends: kept
-  /// across frames, long-lived blocks among the per-frame allocations cost
-  /// another +2-4 MB of peak RSS on a four-session server.
-  static constexpr std::size_t kMemoBlockBytes = 64 * 1024;
-  struct MemoBlock {
-    std::unique_ptr<MemoEntry[]> entries;
-    std::unique_ptr<render::MeshVertex[]> vertices;
+  /// One destination pipe's share of a chunk: the meshes it renders and
+  /// the kPipeSubmit decisions pre-drawn for them.
+  struct ChunkOutput {
+    render::CommandBuffer buffer;
+    FaultInjector::Batch submit_faults;
+    std::int64_t spots = 0;  ///< meshes the chunk sends this pipe
   };
 
   struct FrameHandle;  // Runtime::SharedJob adapter (defined in the .cpp)
@@ -416,21 +395,22 @@ class DncSynthesizer {
   /// for the caller, claim from a group nobody joined for (steal off).
   /// Returns false when nothing is claimable right now.
   bool producer_once(Slot& slot, int ordinal, bool is_caller);
-  /// Generates one chunk of spot geometry, bent spots traced in lane groups
-  /// of SpotGeometryGenerator::kGroupSpots. Per spot it checks the
-  /// kFieldSample fault site and pre-draws the spot's kPipeSubmit decision
-  /// into `submit_faults` (applied later by submit_to_pipe): per-*spot*
-  /// keys, not per-chunk, because chunk boundaries are not replay-stable —
-  /// StealableWorkCounter claims from the front and steals from the back,
-  /// so where the crossover chunk splits depends on the interleaving, and a
-  /// `range.begin` key would draw a different fault set every run.
-  render::CommandBuffer generate_chunk(const Group& group,
-                                       util::StealableWorkCounter::Range range,
-                                       Slot& slot, bool is_caller,
-                                       FaultInjector::Batch* submit_faults);
-  /// Largest-remaining victim, excluding `self`; null when every other
+  /// Generates one chunk of group `g`'s spots, bent spots traced in lane
+  /// groups of SpotGeometryGenerator::kGroupSpots, into `out[g]`. A tiled
+  /// frame also copies each mesh into `out[d]` for every other destination
+  /// `d` of its spot (`out` has one entry per group). Per (spot,
+  /// destination) it checks the kFieldSample fault site and pre-draws the
+  /// kPipeSubmit decision into that destination's batch (applied later by
+  /// submit_to_pipe): per-*spot* keys, not per-chunk, because chunk
+  /// boundaries are not replay-stable — StealableWorkCounter claims from
+  /// the front and steals from the back, so where the crossover chunk
+  /// splits depends on the interleaving, and a `range.begin` key would draw
+  /// a different fault set every run.
+  void generate_chunk(int g, util::StealableWorkCounter::Range range, Slot& slot,
+                      bool is_caller, std::span<ChunkOutput> out);
+  /// Largest-remaining victim group, excluding `self`; -1 when every other
   /// counter is drained.
-  [[nodiscard]] Group* pick_victim(const Group* self);
+  [[nodiscard]] int pick_victim(int self) const;
   /// Records the first failure and marks the frame failed; participants
   /// leave at their next chunk boundary.
   void fail_frame(std::exception_ptr error);
@@ -503,27 +483,19 @@ class DncSynthesizer {
   /// added spots) to tiles into job_delta_, in global indices. Every list
   /// is empty when there is no plan or the plan carries no delta.
   void assign_delta(const FramePlan* plan);
-  /// Frame setup for the trace-once memo (tiled mode, after the groups'
-  /// active flags are set): gives each bent spot assigned to two or more
-  /// active tiles a memo slot and allocates blocks to hold them, and
-  /// staggers the active tiles' start points. Leaves the memo off (and
-  /// every start at 0) when fewer than two tiles are active.
-  void prepare_geometry_memo(std::size_t spot_count);
-  /// What claim_memo found in a spot's memo slot.
-  enum class MemoClaim {
-    kTrace,   ///< claimed: trace the spot, then publish_memo() its mesh
-    kCopied,  ///< ready: the stored mesh was appended to `out`
-    kBusy,    ///< another producer claimed it and is still tracing
-  };
-  /// Spot `k`'s memo slot: claims it, or appends its ready mesh to `out`,
-  /// or reports it busy (appending nothing).
-  MemoClaim claim_memo(std::int64_t k, render::CommandBuffer& out, Slot& slot) const;
-  /// Stores mesh `mesh` of `out` as claimed spot `k`'s memo and marks it
-  /// ready for the other producers.
-  void publish_memo(std::int64_t k, const render::CommandBuffer& out,
-                    std::size_t mesh) const;
-  /// Spot `k`'s memo entry and vertex storage.
-  [[nodiscard]] std::pair<MemoEntry*, render::MeshVertex*> memo_of(std::int64_t k) const;
+  /// Tiled frame setup, after the groups' active flags are set: gives each
+  /// spot its destinations (the active groups whose list holds it) and a
+  /// home among them, which traces it; fills every Group::home and resets
+  /// the work counters over them.
+  void prepare_fan_out(std::size_t spot_count);
+  /// Tiled frames: the active groups listing global spot `k`, in group
+  /// order.
+  [[nodiscard]] std::span<const std::int32_t> destinations(std::int64_t k) const {
+    const auto at = static_cast<std::size_t>(k);
+    return std::span(dest_groups_).subspan(
+        static_cast<std::size_t>(dest_begin_[at]),
+        static_cast<std::size_t>(dest_begin_[at + 1] - dest_begin_[at]));
+  }
   [[nodiscard]] std::int64_t global_index(const Group& group, std::int64_t local) const;
   /// Global index `k` names this frame's spot k, or for k >= spot count the
   /// plan's removed instance k - spot count.
@@ -551,9 +523,6 @@ class DncSynthesizer {
   FrameControl* control_ = nullptr;  // lock-lint: unguarded(caller thread, between frames; pointee internally synchronized)
   /// Cached runtime_->faults(); null disables every injection site.
   FaultInjector* faults_ = nullptr;  // lock-lint: unguarded(immutable after construction)
-  /// Trace-once memo geometry: vertices per slot, slots per block.
-  std::size_t memo_stride_;     // lock-lint: unguarded(immutable after construction)
-  std::size_t memo_per_block_;  // lock-lint: unguarded(immutable after construction)
 
   // Per-frame job state, written by synthesize() before the job opens and
   // read-only while participants run — publication happens-before via the
@@ -566,13 +535,10 @@ class DncSynthesizer {
   /// per-tile lists, in global indices (see spot_at).
   std::span<const SpotInstance> job_removed_;      // lock-lint: unguarded(frame-setup, see above)
   TileAssignment job_delta_;                       // lock-lint: unguarded(frame-setup, see above)
-  /// Memo slot per global spot index (-1: traced by its only tile); empty
-  /// when the memo is off this frame.
-  std::vector<std::int32_t> memo_slot_;  // lock-lint: unguarded(frame-setup, see above)
-  /// Allocated by prepare_geometry_memo and freed when the parallel phase
-  /// ends; in between, producers touch the entries and vertices under the
-  /// MemoEntry::state protocol.
-  std::vector<MemoBlock> memo_blocks_;  // lock-lint: unguarded(frame-setup, see above)
+  /// Tiled frames: spot k's destinations are
+  /// dest_groups_[dest_begin_[k], dest_begin_[k + 1]) (see destinations).
+  std::vector<std::int64_t> dest_begin_;   // lock-lint: unguarded(frame-setup, see above)
+  std::vector<std::int32_t> dest_groups_;  // lock-lint: unguarded(frame-setup, see above)
 
   // Participation state for the frame in flight.
   std::shared_ptr<FrameHandle> frame_handle_;  // lock-lint: unguarded(caller thread, between frames)

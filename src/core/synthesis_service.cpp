@@ -478,10 +478,13 @@ SynthesisService::RunResult SynthesisService::run_job(Session& session,
   job.control.yield.store(false, std::memory_order_relaxed);
   job.control.delay_penalty_ns.store(0, std::memory_order_relaxed);
   job.control.progress.store(0, std::memory_order_relaxed);
+  // The budget saturates: a deadline past 2^63 ns (~292 years, or
+  // infinite) is no budget at all, and casting a double beyond the int64
+  // range is undefined (on x86 it yields INT64_MIN, an exhausted budget).
+  const double deadline_ns = opt.deadline_seconds * 1e9;
   job.control.deadline_penalty_ns =
-      std::isfinite(opt.deadline_seconds)
-          ? static_cast<std::int64_t>(opt.deadline_seconds * 1e9)
-          : std::numeric_limits<std::int64_t>::max();
+      deadline_ns < 0x1p63 ? static_cast<std::int64_t>(deadline_ns)
+                           : std::numeric_limits<std::int64_t>::max();
   std::uint64_t key = util::fnv1a(&job.session, sizeof(job.session));
   key = util::fnv1a(&job.session_ordinal, sizeof(job.session_ordinal), key);
   key = util::fnv1a(&job.attempt, sizeof(job.attempt), key);

@@ -315,6 +315,106 @@ TEST(IncrementalFuzz, NonFiniteChangeRendersDirtyTilesFromScratch) {
   }
 }
 
+TEST(IncrementalFuzz, SeamSpotsFanOutThroughDeltaTiles) {
+  // A tiled frame traces each spot once, in its home tile, and copies the
+  // mesh to the other active tiles that list it — here through a frame that
+  // mixes delta tiles with a dirty tile rendering its full list. Bent spots
+  // on a 2x2 grid over [0,2]^2 (seams at x = 1 and y = 1): the quadrant
+  // x > 1, y > 1 holds only spot A, which straddles the y = 1 seam, so when
+  // A moves that quadrant's tile renders its one-spot full list (its delta,
+  // A's old and new instance, is longer) while the tile across the seam
+  // renders a delta holding A's new instance too. Spot B straddles the
+  // x = 1 seam of the two crowded tiles below, so its removed instance is
+  // listed by both of their deltas. Every frame must equal a one-pipe
+  // contiguous engine bit for bit.
+  SynthesisConfig sc = small_synthesis();
+  sc.texture_width = 128;
+  sc.texture_height = 128;
+  sc.kind = core::SpotKind::kBent;
+  sc.bent.mesh_cols = 16;
+  sc.bent.mesh_rows = 3;
+  sc.bent.length_px = 22.0;
+  sc.spot_radius_px = 3.0;
+  const field::Rect domain{0.0, 0.0, 2.0, 2.0};
+  const auto field = field::analytic::rankine_vortex({1.0, 1.0}, 1.0, 0.5, domain);
+  util::Rng rng(31337);
+  std::vector<SpotInstance> spots;
+  while (spots.size() < 150) {
+    // Far enough from the quiet quadrant that no extent reaches into it.
+    const field::Vec2 p{rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)};
+    if (p.x > 0.6 && p.y > 0.6) continue;
+    spots.push_back({p, 0.2 * rng.intensity()});
+  }
+  const std::size_t a = spots.size();
+  spots.push_back({{1.5, 1.04}, 0.15});
+  const std::size_t b = spots.size();
+  spots.push_back({{1.04, 0.4}, -0.15});
+  sc.spot_count = static_cast<std::int64_t>(spots.size());
+
+  DncConfig single;
+  single.processors = 2;
+  single.pipes = 1;
+  DncSynthesizer reference(sc, single);
+  for (const bool steal : {true, false}) {
+    DncConfig dnc = tiled_config(4);
+    dnc.steal = steal;
+    DncSynthesizer engine(sc, dnc);
+    SynthesisCache cache;
+    const core::SpotGeometryGenerator generator(sc, *field);
+    std::vector<SpotInstance> frame_spots = spots;
+    field::Vec2 last_b = spots[b].position;
+    for (int frame = 0; frame < 6; ++frame) {
+      const SynthesisCache::Decision d = cache.plan(engine, *field, frame_spots);
+      ASSERT_EQ(d.incremental, frame > 0);
+      const core::FrameStats stats =
+          engine.synthesize(*field, frame_spots, d.incremental ? &d.plan : nullptr);
+      cache.commit(engine, *field, std::vector<SpotInstance>(frame_spots));
+      reference.synthesize(*field, frame_spots);
+      EXPECT_TRUE(engine.texture() == reference.texture())
+          << "steal " << steal << " frame " << frame;
+      EXPECT_GT(stats.geometry_reused, 0) << "steal " << steal << " frame " << frame;
+      if (d.incremental) {
+        // The frame holds what the test is about. Only A and B move, so the
+        // plan removes their old instances and re-adds them.
+        ASSERT_EQ(d.plan.removed.size(), 2u);
+        std::vector<SpotInstance> delta = d.plan.removed;
+        for (const std::int64_t k : d.plan.added) {
+          delta.push_back(frame_spots[static_cast<std::size_t>(k)]);
+        }
+        const auto full = core::assign_spots_to_tiles(
+            frame_spots, generator.mapping(), generator.max_extent_px(), engine.tiles());
+        const auto part = core::assign_spots_to_tiles(
+            delta, generator.mapping(), generator.max_extent_px(), engine.tiles());
+        int full_tiles_with_a = 0;
+        int delta_tiles_with_new_a = 0;
+        int delta_tiles_with_old_b = 0;
+        for (std::size_t t = 0; t < engine.tiles().size(); ++t) {
+          if (d.plan.tile_dirty[t] == 0) continue;
+          if (part.per_tile[t].size() >= full.per_tile[t].size()) {
+            full_tiles_with_a += static_cast<int>(
+                std::ranges::count(full.per_tile[t], static_cast<std::int64_t>(a)));
+            continue;
+          }
+          for (const std::int64_t i : part.per_tile[t]) {
+            const SpotInstance& instance = delta[static_cast<std::size_t>(i)];
+            const bool removed = i < 2;
+            delta_tiles_with_new_a += !removed && instance.position == frame_spots[a].position;
+            delta_tiles_with_old_b += removed && instance.position == last_b;
+          }
+        }
+        EXPECT_EQ(full_tiles_with_a, 1) << "frame " << frame;
+        EXPECT_EQ(delta_tiles_with_new_a, 1) << "frame " << frame;
+        EXPECT_EQ(delta_tiles_with_old_b, 2) << "frame " << frame;
+        EXPECT_EQ(stats.delta_tiles, 2) << "frame " << frame;
+      }
+      last_b = frame_spots[b].position;
+      // A slides along the y = 1 seam; B swings across the x = 1 seam.
+      frame_spots[a].position.x += 0.03;
+      frame_spots[b].position.x = 2.0 - frame_spots[b].position.x;
+    }
+  }
+}
+
 TEST(IncrementalFuzz, DenseSubPixelMovesStayExactInsideLatticeBudget) {
   // A dense population of strong spots, a third of it nudged by sub-pixel
   // offsets every frame: each delta tile's readback partially cancels

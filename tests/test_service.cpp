@@ -557,6 +557,32 @@ TEST(SynthesisService, AdmissionControlRejectsUnmeetableDeadline) {
   EXPECT_EQ(health.completed, 1);
 }
 
+TEST(SynthesisService, HugeFiniteDeadlineIsNoBudgetAtAll) {
+  // Any positive deadline is valid (the wire carries an f64). One too large
+  // for an int64 count of nanoseconds must saturate to "no budget", not
+  // overflow into a budget that is exhausted before the frame starts.
+  const Rect domain{0, 0, 2, 2};
+  const auto f = field::analytic::taylor_green(1.0, domain);
+  const auto config = small_config();
+  const auto spots = test_spots(config, domain);
+  core::DncSynthesizer solo(config, small_dnc());
+  solo.synthesize(*f, spots);
+  SynthesisService service({.drivers = 1});
+  const auto id = service.open_session(config, small_dnc());
+  for (const double deadline : {1e10, 1e300}) {
+    core::SynthesisRequest req;
+    req.field = f.get();
+    req.spots = spots;
+    core::SubmitOptions opt;
+    opt.deadline_seconds = deadline;
+    core::SynthesisResult result;
+    EXPECT_NO_THROW(result = service.submit(id, std::move(req), opt).result.get())
+        << "deadline " << deadline;
+    EXPECT_EQ(result.content_hash, solo.texture().content_hash()) << "deadline " << deadline;
+    EXPECT_FALSE(result.stats.degraded);
+  }
+}
+
 // ------------------------------------------------- failure isolation ------
 
 TEST(SynthesisService, ExceptionInOneSessionDoesNotPoisonOthers) {

@@ -234,10 +234,11 @@ class CountingField final : public field::VectorField {
 
 TEST(DncSynthesizer, SeamSpotsTracedOncePerFrame) {
   // Bent spots crowded onto the seams of a 2x2 tile grid: nearly every spot
-  // is assigned to two or four tiles. The trace-once memo must render them
-  // bit-identically to the one-pipe engine, with and without stealing, while
-  // tracing each spot about once — the field sees no more than 1.05x the
-  // one-pipe engine's samples.
+  // is assigned to two or four tiles. Each spot's home tile traces it and
+  // copies the mesh to its other tiles, so the frame renders bit-identically
+  // to the one-pipe engine, with and without stealing, while tracing each
+  // spot exactly once — the field sees exactly the one-pipe engine's
+  // samples, and every duplicate assignment is a copy.
   auto config = small_config();
   config.kind = core::SpotKind::kBent;
   config.bent.mesh_cols = 16;
@@ -276,19 +277,16 @@ TEST(DncSynthesizer, SeamSpotsTracedOncePerFrame) {
     tiled.steal = steal;
     tiled.chunk_spots = 16;
     core::DncSynthesizer engine(config, tiled);
-    // Several frames: the memo's slots are reset and its blocks reused.
+    // Several frames: the destinations and home lists are rebuilt each one.
     for (int frame = 0; frame < 3; ++frame) {
       const core::FrameStats stats = engine.synthesize(f, spots);
       const std::int64_t samples = f.take();
       EXPECT_TRUE(engine.texture() == reference.texture())
           << "steal " << steal << " frame " << frame;
       EXPECT_GT(stats.duplicated_spots, config.spot_count / 2);
-      EXPECT_GT(stats.geometry_reused, 0);
-      EXPECT_LE(stats.geometry_reused, stats.duplicated_spots);
-      EXPECT_LE(static_cast<double>(samples), 1.05 * static_cast<double>(single_samples))
-          << "steal " << steal << " frame " << frame << ": " << samples << " vs "
-          << single_samples << " samples, " << stats.geometry_reused << " of "
-          << stats.duplicated_spots << " duplicates copied";
+      EXPECT_EQ(stats.geometry_reused, stats.duplicated_spots)
+          << "steal " << steal << " frame " << frame;
+      EXPECT_EQ(samples, single_samples) << "steal " << steal << " frame " << frame;
     }
   }
 }
