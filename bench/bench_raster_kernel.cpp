@@ -209,7 +209,7 @@ struct SpanWorkload {
 // Recovers the workload's real covered-run distribution: each triangle of
 // the constant-UV coverage clone is rasterized alone into a scratch target
 // and its bounding-box rows scanned for nonzero runs — exactly the
-// contiguous intervals raster_tri_span blends (through the batched kernel,
+// contiguous intervals the span path blends (through the batched kernel,
 // or inline when short; the replay sends all through the kernel). Each
 // run is then rebuilt as a SampleSpan over the actual profile table with an
 // in-range UV walk at the workload's texels-per-pixel scale (the profile

@@ -44,9 +44,12 @@
 #                                    # tier available on this host (scalar,
 #                                    # then sse2/avx2 on x86-64) by setting
 #                                    # DCSN_SIMD, plus the cross-tier
-#                                    # byte-equality suite (test_simd) and
-#                                    # the lane-march fuzz, which sets every
-#                                    # tier itself (test_spot_geometry). A
+#                                    # byte-equality suite (test_simd), the
+#                                    # lane-march fuzz, which sets every
+#                                    # tier itself (test_spot_geometry), and
+#                                    # the batched raster-setup fuzz
+#                                    # (test_rasterizer SpanBatchFuzz) under
+#                                    # each DCSN_SIMD value. A
 #                                    # divergent tier means an intrinsic
 #                                    # kernel broke the lattice contract;
 #                                    # this is the quick pre-commit check
@@ -217,7 +220,7 @@ simd_tier_gate() {
 }
 simd_tiers_gates() {
   echo "== SIMD tier verification (determinism + golden per DCSN_SIMD tier) =="
-  run_gate "simd build" cmake --build "$BUILD_DIR" -j "$JOBS" --target test_determinism test_golden_frames test_simd test_spot_geometry
+  run_gate "simd build" cmake --build "$BUILD_DIR" -j "$JOBS" --target test_determinism test_golden_frames test_simd test_spot_geometry test_rasterizer
   run_gate "goldens present" check_goldens
   run_gate "simd tier scalar" simd_tier_gate scalar
   case "$(uname -m)" in
@@ -238,6 +241,11 @@ simd_tiers_gates() {
   echo "-- lane march vs scalar oracle on every tier (test_spot_geometry)"
   run_gate "simd lane fuzz" "$BUILD_DIR/tests/test_spot_geometry" --gtest_brief=1 \
     --gtest_filter='SpotGeometryLanes.*'
+  echo "-- batched raster setup vs one lane on every tier (test_rasterizer)"
+  for tier in scalar sse2 avx2; do
+    run_gate "simd raster batch fuzz ($tier ambient)" env DCSN_SIMD="$tier" \
+      "$BUILD_DIR/tests/test_rasterizer" --gtest_brief=1 --gtest_filter='SpanBatchFuzz.*'
+  done
 }
 
 # The single-suite modes run only their own suite.

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
+#include "util/error.hpp"
+#include "util/lanes.hpp"
 #include "util/simd.hpp"
 #include "util/simd_dispatch.hpp"
 
@@ -79,9 +82,23 @@ constexpr float kAnchorLimit = 4194304.0f;
 // solve; the walk stays bounded either way.
 constexpr int kGeomSlack = 4096;
 
+// Triangles per lane batch: the span path sets up this many at once, one per
+// float lane (eight, the width of an AVX2 register).
+constexpr int kBatch = 8;
+
+// Up to kBatch triangles in emission order, SoA: vertex slot 0/1/2 is the
+// triangle's a/b/c, lane k its k-th triangle, `weight` the owning mesh's
+// intensity (a batch fills across mesh boundaries).
+struct TriangleBatch {
+  float x[3][kBatch], y[3][kBatch], u[3][kBatch], v[3][kBatch];
+  float weight[kBatch];
+  int count;
+};
+
 // What every triangle of one rasterize_* call shares, set up once per call
 // rather than once per triangle: the target rect in float, the dispatched
-// kernel table, and the span kernel's SoA batch (see raster_tri_span).
+// kernel table and lane tier, the queue of triangles awaiting batched setup,
+// and the span kernel's SoA batch (see raster_lane).
 struct Raster {
   Raster(const RasterTarget& t, const SpotProfile& p)
       : target(t),
@@ -90,7 +107,8 @@ struct Raster {
         ty0(static_cast<float>(t.origin_y)),
         tx1(static_cast<float>(t.origin_x + t.pixels.width())),
         ty1(static_cast<float>(t.origin_y + t.pixels.height())),
-        kernels(util::simd::kernels()) {}
+        kernels(util::simd::kernels()),
+        avx2(util::simd::active_tier() == util::simd::Tier::kAvx2) {}
 
   const RasterTarget& target;
   const SpotProfile& profile;
@@ -101,12 +119,20 @@ struct Raster {
   /// (util/simd_dispatch.hpp), so the choice never shows in the pixels —
   /// only in the frame time.
   const util::simd::KernelTable& kernels;
+  /// Whether triangle batches set up in AVX2 lanes (util/lanes.hpp), from
+  /// the same tier.
+  bool avx2;
+
+  /// Triangles queued for the next batched setup. Value-initialized so the
+  /// lanes past `count` of a first, partial batch hold zeros, not
+  /// indeterminate floats.
+  TriangleBatch tris{};
 
   /// SoA span batch: a triangle's rows queue here as (dst, span, length)
   /// triples and flush through the batched kernel, so the tier pays its
   /// per-call setup once per flush, not once per row. Its ~4.3 KiB live here,
   /// once per call — SampleSpan's member initializers would zero-fill them
-  /// for every triangle if they sat on raster_tri_span's stack.
+  /// for every triangle if they sat on raster_lane's stack.
   static constexpr int kSpanBatch = 64;
   float* batch_dst[kSpanBatch] = {};
   util::simd::SampleSpan batch_span[kSpanBatch];
@@ -115,12 +141,11 @@ struct Raster {
 };
 
 // Rejects degenerate / non-finite / off-target triangles; fills `s` else.
-// Forced inline: with both kernels calling it GCC keeps it out of line,
-// and the call plus the TriSetup round trip through memory cost ~15% of a
-// tiny triangle's raster time.
-[[gnu::always_inline]] inline bool setup_triangle(const Raster& ctx, MeshVertex a,
-                                                  MeshVertex b, MeshVertex c,
-                                                  TriSetup& s) {
+// The scalar expression of every setup step; the span path's batched
+// setup (setup_batch) performs the same operations in lanes, and the
+// equivalence fuzz holds the two to identical coverage.
+inline bool setup_triangle(const Raster& ctx, MeshVertex a, MeshVertex b, MeshVertex c,
+                           TriSetup& s) {
   // Reject off-target (or NaN-extent) boxes first — the cheapest test, and
   // the one every triangle of a neighbouring tile fails — while still in
   // float space; the negated comparisons make any NaN land in the reject
@@ -246,7 +271,7 @@ void raster_tri_reference(Raster& ctx, const MeshVertex& va, const MeshVertex& v
 }
 
 // ---------------------------------------------------------------------------
-// kSpan: scanline span solve + incremental row kernel.
+// kSpan: batched triangle setup, all-rows lane solve, incremental row kernel.
 // ---------------------------------------------------------------------------
 
 // A row's geometric covered interval [g_lo, g_hi) inside the solve window
@@ -264,64 +289,240 @@ void raster_tri_reference(Raster& ctx, const MeshVertex& va, const MeshVertex& v
 // either sign of zero: m is a zero and the test is r's sign) — and the
 // columns all three admit form one interval.
 
-// Windows at most this wide take the lane solve: two 4-float vectors, the
-// width of SSE2, the x86-64 baseline. Wider generic vectors get split
-// element by element on a baseline x86-64 build.
+// Windows at most this wide take the lane solve (row_pass); wider ones walk.
 constexpr int kLanes = 8;
-using Lane4f = float __attribute__((vector_size(16)));
-using Lane4i = std::int32_t __attribute__((vector_size(16)));
+
+// Everything the span path needs of the triangles of one batch, set up in
+// lanes by setup_batch: lane k is the batch's k-th triangle. Edge index 0/1/2
+// is the edge ab/bc/ca. No member initializers: every lane is written
+// before it is read, and only live lanes are read.
+struct BatchSetup {
+  std::int32_t x_min[kBatch], x_max[kBatch], y_min[kBatch], y_max[kBatch];
+  std::int32_t ax[kBatch], ay[kBatch];  ///< canonical anchor pixel
+  std::int32_t gx_ceil[kBatch];         ///< ceil of the anchor-clamped max x
+  float dx[3][kBatch], dy[3][kBatch], origin[3][kBatch];
+  std::uint32_t top_left[3];  ///< bit k set: edge is top-left in lane k
+  /// The lane solve's products fl(kx * dy) for window column j,
+  /// kx = gfloor + j: [edge][j][lane].
+  float m[3][kLanes][kBatch];
+  /// UV at the anchor and its per-pixel steps, as doubles:
+  /// U00, V00, du_dx, dv_dx, du_dy, dv_dy.
+  double uv[6][kBatch];
+};
+
+// setup_triangle for a whole batch: every lane performs the scalar
+// expression's IEEE operations in the same order (util/lanes.hpp), so each
+// live lane holds exactly the scalar setup's values. Returns the live lanes:
+// bit k set when triangle k passed every reject. F is the float lane type,
+// D the four-lane double type of the UV constants.
+template <class F, class D>
+std::uint32_t setup_batch(const Raster& ctx, const TriangleBatch& in, BatchSetup& out) {
+  using M = typename F::Mask;
+  const F zero(0.0f);
+  const F ax = F::load(in.x[0]);
+  const F ay = F::load(in.y[0]);
+  F bx = F::load(in.x[1]);
+  F by = F::load(in.y[1]);
+  F cx = F::load(in.x[2]);
+  F cy = F::load(in.y[2]);
+
+  // The bbox with std::min/std::max({a, b, c})'s comparisons, in their
+  // order, so a NaN coordinate lands where it lands in the scalar setup; the
+  // negated-compare reject below then drops it the same way. This is also
+  // the batch's early out: when no lane overlaps the target, nothing else is
+  // set up.
+  const auto lane_min = [](const F& a, const F& b, const F& c) {
+    const F r = select(b < a, b, a);
+    return select(c < r, c, r);
+  };
+  const auto lane_max = [](const F& a, const F& b, const F& c) {
+    const F r = select(a < b, b, a);
+    return select(r < c, c, r);
+  };
+  F min_x = lane_min(ax, bx, cx);
+  F max_x = lane_max(ax, bx, cx);
+  F min_y = lane_min(ay, by, cy);
+  F max_y = lane_max(ay, by, cy);
+  M live = M::from_bits((1u << in.count) - 1u) & (min_x < F(ctx.tx1)) &
+           (min_y < F(ctx.ty1)) & (max_x >= F(ctx.tx0)) & (max_y >= F(ctx.ty0));
+  if (live.bits() == 0) return 0;
+
+  // Nonzero and finite (x - x is zero exactly for finite x); the winding
+  // swap is a per-lane select of b and c.
+  F area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax);
+  live = live & (area2 != zero) & (area2 - area2 == zero);
+  const M flip = area2 < zero;
+  area2 = select(flip, -area2, area2);
+  const auto swap = [&flip](F& b, F& c) {
+    const F nb = select(flip, c, b);
+    c = select(flip, b, c);
+    b = nb;
+  };
+  swap(bx, cx);
+  swap(by, cy);
+  F bu = F::load(in.u[1]);
+  F cu = F::load(in.u[2]);
+  F bv = F::load(in.v[1]);
+  F cv = F::load(in.v[2]);
+  swap(bu, cu);
+  swap(bv, cv);
+
+  // Dead lanes' bboxes go to zero, so every conversion below is of a finite,
+  // in-range value; live lanes' bboxes are finite already (they passed the
+  // ordered compares).
+  min_x = select(live, min_x, zero);
+  max_x = select(live, max_x, zero);
+  min_y = select(live, min_y, zero);
+  max_y = select(live, max_y, zero);
+  // std::clamp(v, lo, hi) is std::min(std::max(v, lo), hi).
+  const auto clamp = [](const F& v, const F& lo, const F& hi) {
+    const F r = select(v < lo, lo, v);
+    return select(hi < r, hi, r);
+  };
+  const F tx0(ctx.tx0);
+  const F ty0(ctx.ty0);
+  const F tx_last(ctx.tx1 - 1.0f);
+  const F ty_last(ctx.ty1 - 1.0f);
+  const F x_lo = floor(clamp(min_x, tx0, tx_last));
+  const F x_hi = ceil(clamp(max_x, tx0, tx_last));
+  const F y_lo = floor(clamp(min_y, ty0, ty_last));
+  const F y_hi = ceil(clamp(max_y, ty0, ty_last));
+  live = live & (x_lo <= x_hi) & (y_lo <= y_hi);
+  const std::uint32_t live_bits = live.bits();
+  if (live_bits == 0) return 0;
+  x_lo.store_int(out.x_min);
+  x_hi.store_int(out.x_max);
+  y_lo.store_int(out.y_min);
+  y_hi.store_int(out.y_max);
+
+  const F limit(kAnchorLimit);
+  const F neg_limit(-kAnchorLimit);
+  const F anchor_x = floor(clamp(min_x, neg_limit, limit));
+  const F anchor_y = floor(clamp(min_y, neg_limit, limit));
+  anchor_x.store_int(out.ax);
+  anchor_y.store_int(out.ay);
+  ceil(clamp(max_x, neg_limit, limit)).store_int(out.gx_ceil);
+
+  // Canonical edges, as make_edge in setup_triangle. The anchor is integral
+  // and inside the int range, so anchor + 0.5 equals float(int anchor) + 0.5.
+  const F px = anchor_x + F(0.5f);
+  const F py = anchor_y + F(0.5f);
+  F edge_dy[3];
+  const auto make_edge = [&](int e, const F& fx, const F& fy, const F& tx, const F& ty) {
+    const M swapped = (tx < fx) | ((tx == fx) & (ty < fy));
+    const F lo_x = select(swapped, tx, fx);
+    const F lo_y = select(swapped, ty, fy);
+    const F cdx = select(swapped, fx, tx) - lo_x;
+    const F cdy = select(swapped, fy, ty) - lo_y;
+    const F canonical = cdx * (py - lo_y) - cdy * (px - lo_x);
+    const F sign = select(swapped, F(-1.0f), F(1.0f));
+    const F dx = sign * cdx;
+    const F dy = sign * cdy;
+    dx.store(out.dx[e]);
+    dy.store(out.dy[e]);
+    (sign * canonical).store(out.origin[e]);
+    out.top_left[e] = (((dy == zero) & (dx > zero)) | (dy < zero)).bits();
+    edge_dy[e] = dy;
+  };
+  make_edge(0, ax, ay, bx, by);  // weight for c
+  make_edge(1, bx, by, cx, cy);  // weight for a
+  make_edge(2, cx, cy, ax, ay);  // weight for b
+
+  // The lane solve's products. For every window column a narrow triangle
+  // uses, gfloor + j < gceil <= 2^23 + 1, so float(gfloor) + float(j) is
+  // float(gfloor + j) exactly.
+  alignas(32) float gfloor[kBatch];
+  for (int k = 0; k < kBatch; ++k) {
+    gfloor[k] = static_cast<float>(std::max(0, out.x_min[k] - out.ax[k] - kGeomSlack));
+  }
+  const F kx0 = F::load(gfloor);
+  for (int j = 0; j < kLanes; ++j) {
+    const F kx = kx0 + F(static_cast<float>(j));
+    for (int e = 0; e < 3; ++e) (kx * edge_dy[e]).store(out.m[e][j]);
+  }
+
+  // The UV constants of raster_lane, in two four-lane double halves.
+  alignas(32) float inv_area[kBatch];
+  alignas(32) float b_u[kBatch], b_v[kBatch], c_u[kBatch], c_v[kBatch];
+  (F(1.0f) / area2).store(inv_area);
+  bu.store(b_u);
+  bv.store(b_v);
+  cu.store(c_u);
+  cv.store(c_v);
+  for (int h = 0; h < kBatch; h += 4) {
+    const D inv = D::load(inv_area + h);
+    const D au = D::load(in.u[0] + h);
+    const D av = D::load(in.v[0] + h);
+    const D bu_d = D::load(b_u + h);
+    const D bv_d = D::load(b_v + h);
+    const D cu_d = D::load(c_u + h);
+    const D cv_d = D::load(c_v + h);
+    const D o_ab = D::load(out.origin[0] + h);
+    const D o_bc = D::load(out.origin[1] + h);
+    const D o_ca = D::load(out.origin[2] + h);
+    const D dx_ab = D::load(out.dx[0] + h);
+    const D dx_bc = D::load(out.dx[1] + h);
+    const D dx_ca = D::load(out.dx[2] + h);
+    const D dy_ab = D::load(out.dy[0] + h);
+    const D dy_bc = D::load(out.dy[1] + h);
+    const D dy_ca = D::load(out.dy[2] + h);
+    ((o_bc * au + o_ca * bu_d + o_ab * cu_d) * inv).store(out.uv[0] + h);
+    ((o_bc * av + o_ca * bv_d + o_ab * cv_d) * inv).store(out.uv[1] + h);
+    (-(dy_bc * au + dy_ca * bu_d + dy_ab * cu_d) * inv).store(out.uv[2] + h);
+    (-(dy_bc * av + dy_ca * bv_d + dy_ab * cv_d) * inv).store(out.uv[3] + h);
+    ((dx_bc * au + dx_ca * bu_d + dx_ab * cu_d) * inv).store(out.uv[4] + h);
+    ((dx_bc * av + dx_ca * bv_d + dx_ab * cv_d) * inv).store(out.uv[5] + h);
+  }
+  return live_bits;
+}
 
 // The lane solve, for narrow windows (nearly every triangle of a served
-// spot ribbon): every window column is tested against all three edges at
-// once in kLanes float lanes, and the interval runs from the first admitted
-// lane to the last. No seed, no data-dependent loop exit. The products
-// m = fl(kx * dy) do not depend on the row, so they are set up once per
-// triangle; a row costs three row values and a dozen 4-lane compares.
-struct LaneSolve {
-  struct LaneEdge {
-    Lane4f m_lo, m_hi;  ///< fl(kx * dy) for window columns 0-3 and 4-7
-    Lane4i top_left;    ///< all-ones on a top-left edge (admits m == r)
-    float origin, dx;
-  };
-  LaneEdge edges[3];
-  int window;  ///< one bit per column inside [gfloor, gceil)
-  int gfloor;
-
-  LaneSolve(const TriSetup& s, int gfloor_, int width) : gfloor(gfloor_) {
-    Lane4f kx_lo, kx_hi;
-    for (int j = 0; j < 4; ++j) {
-      kx_lo[j] = static_cast<float>(gfloor + j);
-      kx_hi[j] = static_cast<float>(gfloor + 4 + j);
-    }
-    const Edge* src[3] = {&s.ab, &s.bc, &s.ca};
-    for (int i = 0; i < 3; ++i) {
-      edges[i].m_lo = kx_lo * src[i]->dy;
-      edges[i].m_hi = kx_hi * src[i]->dy;
-      edges[i].top_left = Lane4i{} - (src[i]->top_left ? 1 : 0);
-      edges[i].origin = src[i]->origin;
-      edges[i].dx = src[i]->dx;
-    }
-    window = (1 << std::clamp(width, 0, kLanes)) - 1;
+// spot ribbon): one pass over the window's columns decides eight rows at
+// once, row k of the block in float lane k, and leaves every row's coverage
+// mask — bit j for window column j — so only rows with a covered pixel
+// centre reach `row(y, g_lo, g_hi)`, in ascending y. A row's interval runs
+// from its first admitted column to its last. No seed and no probing: the
+// loops run over the window's columns and the covered rows. Bboxes taller
+// than eight rows take one pass per eight rows.
+template <class F, class Row>
+void row_pass(const BatchSetup& s, int lane, int y_min, int y_max, int ay, int gfloor,
+              int width, Row&& row) {
+  using M = typename F::Mask;
+  F origin[3], dx[3];
+  M top_left[3] = {M::raw(0), M::raw(0), M::raw(0)};
+  for (int e = 0; e < 3; ++e) {
+    origin[e] = F(s.origin[e][lane]);
+    dx[e] = F(s.dx[e][lane]);
+    top_left[e] = M::raw(((s.top_left[e] >> lane) & 1u) != 0 ? ~0u : 0u);
   }
-
-  bool row(int ky, int& g_lo, int& g_hi) const {
-    const float kyf = static_cast<float>(ky);
-    Lane4i in_lo = Lane4i{} - 1;
-    Lane4i in_hi = in_lo;
-    for (const LaneEdge& e : edges) {
-      const float r = e.origin + kyf * e.dx;
-      in_lo &= (e.m_lo < r) | ((e.m_lo == r) & e.top_left);
-      in_hi &= (e.m_hi < r) | ((e.m_hi == r) & e.top_left);
+  for (int y0 = y_min; y0 <= y_max; y0 += kLanes) {
+    // The scalar row value e.origin + float(ky) * e.dx, one row per lane.
+    const F ky = F::ramp(y0 - ay);
+    F r[3];
+    for (int e = 0; e < 3; ++e) r[e] = origin[e] + ky * dx[e];
+    M any = M::raw(0);
+    M bits = M::raw(0);
+    for (int j = 0; j < width; ++j) {
+      M col = M::raw(~0u);
+      for (int e = 0; e < 3; ++e) {
+        const F m(s.m[e][j][lane]);
+        col = col & ((m < r[e]) | ((m == r[e]) & top_left[e]));
+      }
+      any = any | col;
+      bits = bits | (col & M::raw(1u << j));
     }
-    const Lane4i bits = (in_lo & Lane4i{1, 2, 4, 8}) | (in_hi & Lane4i{16, 32, 64, 128});
-    const auto mask =
-        static_cast<unsigned>((bits[0] | bits[1] | bits[2] | bits[3]) & window);
-    if (mask == 0) return false;
-    g_lo = gfloor + std::countr_zero(mask);
-    g_hi = gfloor + static_cast<int>(std::bit_width(mask));
-    return true;
+    std::uint32_t rows = any.bits();
+    if (y_max - y0 < kLanes - 1) rows &= (1u << (y_max - y0 + 1)) - 1u;
+    if (rows == 0) continue;
+    std::uint32_t mask[kLanes];
+    bits.store_raw(mask);
+    for (; rows != 0; rows &= rows - 1) {
+      const int k = std::countr_zero(rows);
+      row(y0 + k, gfloor + std::countr_zero(mask[k]),
+          gfloor + static_cast<int>(std::bit_width(mask[k])));
+    }
   }
-};
+}
 
 // The walk, for wider windows. Each edge is classified once per triangle by
 // the sign of dy (fixed across the raster) into a flat, left or right
@@ -337,8 +538,7 @@ struct LaneSolve {
 // error rarely causes.
 struct WalkSolve {
   // No member initializers: a triangle writes only the entries it
-  // classifies and reads only those, and zero-filling all nine per triangle
-  // measured ~10% of a tiny triangle's raster time.
+  // classifies and reads only those.
   struct RowBound {
     float dy, dx, origin;
     bool top_left;
@@ -353,20 +553,21 @@ struct WalkSolve {
   int n_flat = 0, n_left = 0, n_right = 0;
   int gfloor, gceil;
 
-  WalkSolve(const TriSetup& s, int gfloor_, int gceil_, bool classify)
+  WalkSolve(const BatchSetup& s, int lane, int gfloor_, int gceil_)
       : gfloor(gfloor_), gceil(gceil_) {
-    if (!classify) return;
-    const Edge* edges[3] = {&s.ab, &s.bc, &s.ca};
-    for (const Edge* e : edges) {
-      RowBound b{e->dy, e->dx, e->origin, e->top_left, 0.0, 0.0};
-      if (e->dy == 0.0f) {
+    for (int e = 0; e < 3; ++e) {
+      const float dy = s.dy[e][lane];
+      const float dx = s.dx[e][lane];
+      const float origin = s.origin[e][lane];
+      RowBound b{dy, dx, origin, ((s.top_left[e] >> lane) & 1u) != 0, 0.0, 0.0};
+      if (dy == 0.0f) {
         flat[n_flat++] = b;
         continue;
       }
-      const double inv_dy = 1.0 / static_cast<double>(e->dy);
-      b.base = static_cast<double>(e->origin) * inv_dy + 1.0;
-      b.slope = static_cast<double>(e->dx) * inv_dy;
-      if (e->dy > 0.0f) {
+      const double inv_dy = 1.0 / static_cast<double>(dy);
+      b.base = static_cast<double>(origin) * inv_dy + 1.0;
+      b.slope = static_cast<double>(dx) * inv_dy;
+      if (dy > 0.0f) {
         right[n_right++] = b;
       } else {
         left[n_left++] = b;
@@ -433,89 +634,54 @@ void flush_batch(Raster& ctx) {
   ctx.batched = 0;
 }
 
-void raster_tri_span(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
-                     const MeshVertex& vc, float weight, RasterStats& stats) {
-  TriSetup s;
-  if (!setup_triangle(ctx, va, vb, vc, s)) return;
-
+// One live lane of a set-up batch: solve its rows, blend its spans.
+template <class F>
+void raster_lane(Raster& ctx, const BatchSetup& s, int lane, float weight,
+                 RasterStats& stats) {
   const RasterTarget& target = ctx.target;
   const auto pixels = target.pixels;
+  const int ax = s.ax[lane];
+  const int ay = s.ay[lane];
   // The rendered kx window relative to the canonical anchor: [klo, kend).
-  const int klo = s.x_min - s.ax;
-  const int kend = s.x_max - s.ax + 1;
+  const int klo = s.x_min[lane] - ax;
+  const int kend = s.x_max[lane] - ax + 1;
   // The *geometric* solve window: boundaries are resolved past the target
   // rect (bounded by the bbox and the slack) so the solved span — and the
   // UV rebase anchored at its in-range start — is a pure function of the
   // triangle and the row, identical for every target that clips it.
   const int gfloor = std::max(0, klo - kGeomSlack);
-  const int gceil = std::min(s.gx_end, kend + kGeomSlack);
+  const int gceil = std::min(s.gx_ceil[lane] - ax + 1, kend + kGeomSlack);
 
   // Barycentric weights are affine across the raster, so UV is evaluated as
-  // U00 + ky*du_dy + kx*du_dx with per-triangle double constants: within
-  // ~1 ulp of the exact affine function anywhere in the bbox, no error
-  // accumulation along the row. (On needle triangles this is *more*
-  // accurate than the reference's cancellation-noisy float barycentric —
-  // the equivalence tolerance there absorbs the reference's own noise.)
-  // d(v_bc)/dkx = -bc.dy weights a, d(v_bc)/dky = +bc.dx, and cyclically.
-  const double inv_area = static_cast<double>(s.inv_area);
-  const double U00 = (static_cast<double>(s.bc.origin) * s.a.u +
-                      static_cast<double>(s.ca.origin) * s.b.u +
-                      static_cast<double>(s.ab.origin) * s.c.u) *
-                     inv_area;
-  const double V00 = (static_cast<double>(s.bc.origin) * s.a.v +
-                      static_cast<double>(s.ca.origin) * s.b.v +
-                      static_cast<double>(s.ab.origin) * s.c.v) *
-                     inv_area;
-  const double du_dx = -(static_cast<double>(s.bc.dy) * s.a.u +
-                         static_cast<double>(s.ca.dy) * s.b.u +
-                         static_cast<double>(s.ab.dy) * s.c.u) *
-                       inv_area;
-  const double dv_dx = -(static_cast<double>(s.bc.dy) * s.a.v +
-                         static_cast<double>(s.ca.dy) * s.b.v +
-                         static_cast<double>(s.ab.dy) * s.c.v) *
-                       inv_area;
-  const double du_dy = (static_cast<double>(s.bc.dx) * s.a.u +
-                        static_cast<double>(s.ca.dx) * s.b.u +
-                        static_cast<double>(s.ab.dx) * s.c.u) *
-                       inv_area;
-  const double dv_dy = (static_cast<double>(s.bc.dx) * s.a.v +
-                        static_cast<double>(s.ca.dx) * s.b.v +
-                        static_cast<double>(s.ab.dx) * s.c.v) *
-                       inv_area;
-
+  // U00 + ky*du_dy + kx*du_dx with per-triangle double constants
+  // (setup_batch): within ~1 ulp of the exact affine function anywhere in
+  // the bbox, no error accumulation along the row. (On needle triangles this
+  // is *more* accurate than the reference's cancellation-noisy float
+  // barycentric — the equivalence tolerance there absorbs the reference's
+  // own noise.)
+  const double U00 = s.uv[0][lane];
+  const double V00 = s.uv[1][lane];
+  const double du_dx = s.uv[2][lane];
+  const double dv_dx = s.uv[3][lane];
+  const double du_dy = s.uv[4][lane];
+  const double dv_dy = s.uv[5][lane];
   SpotProfile::RowSampler sampler(ctx.profile, du_dx, dv_dx);
 
-  // Narrow windows (nearly every triangle of a served spot ribbon) take the
-  // lane solve; only wider ones pay for the walk's edge classification and
-  // seed reciprocals.
-  const bool narrow = gceil - gfloor <= kLanes;
-  const LaneSolve lanes(s, gfloor, gceil - gfloor);
-  const WalkSolve walk(s, gfloor, gceil, /*classify=*/!narrow);
-  stats.narrow_triangles += narrow ? 1 : 0;
-
   std::int64_t fragments = 0;
-  std::int64_t visited = 0;
-  for (int y = s.y_min; y <= s.y_max; ++y) {
-    const int ky = y - s.ay;
-
-    // Solve the canonical edge functions for the *geometric* covered
-    // interval [g_lo, g_hi) in anchor-relative kx units. Each bound's row
-    // value r is the same float expression the reference walk evaluates
-    // (edge_row_value), and each boundary is settled by the exact
-    // admission comparison — coverage inside the target is bit-identical
-    // to the reference by construction, and the boundaries themselves do
-    // not depend on where the target clips the row.
-    int g_lo = 0;
-    int g_hi = 0;
-    if (!(narrow ? lanes.row(ky, g_lo, g_hi) : walk.row(ky, g_lo, g_hi))) continue;
-
+  // One covered row: the geometric interval [g_lo, g_hi), decided by the
+  // exact admission comparison, so coverage inside the target is
+  // bit-identical to the reference by construction, and the boundaries do
+  // not depend on where the target clips the row. Forced inline into both
+  // solvers: called out of line, as GCC leaves it in the portable
+  // instantiation, it cost the scalar tier ~20% of the 125-fragment ribbon
+  // workload's fragment rate.
+  const auto span_row = [&](int y, int g_lo, int g_hi) __attribute__((always_inline)) {
+    const int ky = y - ay;
     // The rendered interval is the geometric span clipped to the target.
     const int lo = std::max(g_lo, klo);
     const int hi = std::min(g_hi, kend);
-    if (lo >= hi) continue;
-    const int n = hi - lo;
-    fragments += n;
-    visited += n;
+    if (lo >= hi) return;
+    fragments += hi - lo;
 
     // Bounds handling, hoisted: fragments whose UV leaves [0,1)^2 (float
     // rounding at mesh seams, or genuinely off-profile geometry) sample
@@ -539,52 +705,131 @@ void raster_tri_span(Raster& ctx, const MeshVertex& va, const MeshVertex& vb,
     // Rendered portion of the in-range sub-span.
     const int r0 = std::clamp(s0, lo, hi);
     const int r1 = std::clamp(s1, r0, hi);
+    if (r0 >= r1) return;
 
-    float* dst = &pixels(0, y - target.origin_y) + (s.ax + lo - target.origin_x);
-    if (r0 < r1) {
-      // Rebase the sampler at the geometric in-range start s0 — in [0,1)^2
-      // so the fixed-point position fits. Rendered fragments sample at
-      // offsets r0-s0 .. r1-1-s0. A short span blends right here; a longer
-      // one queues as one SoA unit: the span() call hoists the per-fragment
-      // UV stepping state (fixed-point position, step, weight) out of this
-      // loop, and at flush the batched kernel blends straight-line over the
-      // contiguous destination floats (staging texels in a stack buffer on
-      // tiers without gathers, walking fragments eight-at-a-time on AVX2).
-      // Either way every fragment gets the scalar quantize(weight * sample)
-      // bits exactly. The batch holds one triangle's rows — distinct
-      // framebuffer rows, never aliasing — so batched order is the per-row
-      // order bit for bit.
-      sampler.start_row(u_row + s0 * du_dx, v_row + s0 * dv_dx);
-      if (r1 - r0 <= kInlineSpan) {
-        blend_inline(dst + (r0 - lo), sampler, r0 - s0, r1 - r0, weight);
-      } else {
-        ctx.batch_dst[ctx.batched] = dst + (r0 - lo);
-        ctx.batch_span[ctx.batched] = sampler.span(r0 - s0, weight);
-        ctx.batch_len[ctx.batched] = static_cast<std::uint32_t>(r1 - r0);
-        if (++ctx.batched == Raster::kSpanBatch) flush_batch(ctx);
-      }
+    // Rebase the sampler at the geometric in-range start s0 — in [0,1)^2
+    // so the fixed-point position fits. Rendered fragments sample at
+    // offsets r0-s0 .. r1-1-s0. A short span blends right here; a longer
+    // one queues as one SoA unit: the span() call hoists the per-fragment
+    // UV stepping state (fixed-point position, step, weight) out of this
+    // loop, and at flush the batched kernel blends straight-line over the
+    // contiguous destination floats (staging texels in a stack buffer on
+    // tiers without gathers, walking fragments eight-at-a-time on AVX2).
+    // Either way every fragment gets the scalar quantize(weight * sample)
+    // bits exactly. The batch holds one triangle's rows — distinct
+    // framebuffer rows, never aliasing — so batched order is the per-row
+    // order bit for bit.
+    float* dst = &pixels(0, y - target.origin_y) + (ax + r0 - target.origin_x);
+    sampler.start_row(u_row + s0 * du_dx, v_row + s0 * dv_dx);
+    if (r1 - r0 <= kInlineSpan) {
+      blend_inline(dst, sampler, r0 - s0, r1 - r0, weight);
+    } else {
+      ctx.batch_dst[ctx.batched] = dst;
+      ctx.batch_span[ctx.batched] = sampler.span(r0 - s0, weight);
+      ctx.batch_len[ctx.batched] = static_cast<std::uint32_t>(r1 - r0);
+      if (++ctx.batched == Raster::kSpanBatch) flush_batch(ctx);
+    }
+  };
+
+  // Narrow windows (nearly every triangle of a served spot ribbon) take the
+  // lane solve; only wider ones pay for the walk's edge classification and
+  // seed reciprocals.
+  const int y_min = s.y_min[lane];
+  const int y_max = s.y_max[lane];
+  if (gceil - gfloor <= kLanes) {
+    ++stats.narrow_triangles;
+    row_pass<F>(s, lane, y_min, y_max, ay, gfloor, gceil - gfloor, span_row);
+  } else {
+    const WalkSolve walk(s, lane, gfloor, gceil);
+    for (int y = y_min; y <= y_max; ++y) {
+      int g_lo = 0;
+      int g_hi = 0;
+      if (walk.row(y - ay, g_lo, g_hi)) span_row(y, g_lo, g_hi);
     }
   }
   flush_batch(ctx);
   ++stats.triangles;
   stats.fragments += fragments;
-  stats.pixels_visited += visited;
+  stats.pixels_visited += fragments;
 }
 
-// ---------------------------------------------------------------------------
-// Dispatch: the algorithm resolves to one triangle kernel, selected once
-// per mesh / per command buffer instead of per triangle.
-// ---------------------------------------------------------------------------
-
-using TriKernel = void (*)(Raster&, const MeshVertex&, const MeshVertex&,
-                           const MeshVertex&, float, RasterStats&);
-
-TriKernel select_kernel(RasterAlgorithm algorithm) {
-  return algorithm == RasterAlgorithm::kSpan ? &raster_tri_span : &raster_tri_reference;
+// Sets up the queued batch in lanes, then rasterizes its live triangles in
+// emission order.
+template <class F, class D>
+void raster_batch(Raster& ctx, RasterStats& stats) {
+  BatchSetup s;
+  for (std::uint32_t live = setup_batch<F, D>(ctx, ctx.tris, s); live != 0;
+       live &= live - 1) {
+    const int lane = std::countr_zero(live);
+    raster_lane<F>(ctx, s, lane, ctx.tris.weight[lane], stats);
+  }
 }
 
-void mesh_with_kernel(TriKernel kernel, Raster& ctx, std::span<const MeshVertex> vertices,
-                      int cols, int rows, float weight, RasterStats& stats) {
+#if defined(__x86_64__)
+// The AVX2 instantiation: flatten inlines the whole batch — setup, row
+// passes, walks, span rows — into AVX2 code.
+DCSN_LANES_AVX2_ENTRY void raster_batch_avx2(Raster& ctx, RasterStats& stats) {
+  raster_batch<util::lanes::Avx2x8f, util::lanes::Avx2x4>(ctx, stats);
+}
+#endif
+
+void flush_triangles(Raster& ctx, RasterStats& stats) {
+  if (ctx.tris.count == 0) return;
+#if defined(__x86_64__)
+  if (ctx.avx2) {
+    raster_batch_avx2(ctx, stats);
+  } else {
+    raster_batch<util::lanes::Vec8f, util::lanes::Scalar<4>>(ctx, stats);
+  }
+#else
+  raster_batch<util::lanes::Vec8f, util::lanes::Scalar<4>>(ctx, stats);
+#endif
+  ctx.tris.count = 0;
+}
+
+void queue_triangle(Raster& ctx, const MeshVertex& a, const MeshVertex& b,
+                    const MeshVertex& c, float weight, RasterStats& stats) {
+  TriangleBatch& t = ctx.tris;
+  const int k = t.count;
+  const MeshVertex* v[3] = {&a, &b, &c};
+  for (int i = 0; i < 3; ++i) {
+    t.x[i][k] = v[i]->x;
+    t.y[i][k] = v[i]->y;
+    t.u[i][k] = v[i]->u;
+    t.v[i][k] = v[i]->v;
+  }
+  t.weight[k] = weight;
+  if (++t.count == kBatch) flush_triangles(ctx, stats);
+}
+
+// True when no triangle of the mesh can touch the target, so none need
+// setting up. Exact: the bbox skips NaN coordinates (it starts at ±inf and
+// NaN never wins a compare), and a triangle's own bbox either holds a NaN
+// (then its reject fires) or lies inside this one.
+bool mesh_misses_target(const Raster& ctx, std::span<const MeshVertex> vertices) {
+  float min_x = std::numeric_limits<float>::infinity();
+  float min_y = min_x;
+  float max_x = -min_x;
+  float max_y = -min_x;
+  for (const MeshVertex& p : vertices) {
+    min_x = p.x < min_x ? p.x : min_x;
+    min_y = p.y < min_y ? p.y : min_y;
+    max_x = max_x < p.x ? p.x : max_x;
+    max_y = max_y < p.y ? p.y : max_y;
+  }
+  return !(min_x < ctx.tx1) || !(min_y < ctx.ty1) || !(max_x >= ctx.tx0) ||
+         !(max_y >= ctx.ty0);
+}
+
+// A cols-x-rows mesh as its quads' triangles in emission order: for quad
+// (i, j), v00-v10-v11 then v00-v11-v01. The span path queues them for
+// batched setup; the reference path walks each at once.
+void raster_mesh(Raster& ctx, std::span<const MeshVertex> vertices, int cols, int rows,
+                 float weight, RasterStats& stats) {
+  if (cols < 2 || rows < 2) return;
+  stats.quads += static_cast<std::int64_t>(cols - 1) * static_cast<std::int64_t>(rows - 1);
+  const bool reference = ctx.target.algorithm == RasterAlgorithm::kReference;
+  if (!reference && mesh_misses_target(ctx, vertices)) return;
   auto vertex = [&](int i, int j) -> const MeshVertex& {
     return vertices[static_cast<std::size_t>(j) * static_cast<std::size_t>(cols) +
                     static_cast<std::size_t>(i)];
@@ -595,9 +840,13 @@ void mesh_with_kernel(TriKernel kernel, Raster& ctx, std::span<const MeshVertex>
       const MeshVertex& v10 = vertex(i + 1, j);
       const MeshVertex& v11 = vertex(i + 1, j + 1);
       const MeshVertex& v01 = vertex(i, j + 1);
-      kernel(ctx, v00, v10, v11, weight, stats);
-      kernel(ctx, v00, v11, v01, weight, stats);
-      ++stats.quads;
+      if (reference) {
+        raster_tri_reference(ctx, v00, v10, v11, weight, stats);
+        raster_tri_reference(ctx, v00, v11, v01, weight, stats);
+      } else {
+        queue_triangle(ctx, v00, v10, v11, weight, stats);
+        queue_triangle(ctx, v00, v11, v01, weight, stats);
+      }
     }
   }
 }
@@ -608,25 +857,33 @@ void rasterize_triangle(const RasterTarget& target, const MeshVertex& a,
                         const MeshVertex& b, const MeshVertex& c, float weight,
                         const SpotProfile& profile, RasterStats& stats) {
   Raster ctx(target, profile);
-  select_kernel(target.algorithm)(ctx, a, b, c, weight, stats);
+  if (target.algorithm == RasterAlgorithm::kReference) {
+    raster_tri_reference(ctx, a, b, c, weight, stats);
+    return;
+  }
+  queue_triangle(ctx, a, b, c, weight, stats);
+  flush_triangles(ctx, stats);
 }
 
 void rasterize_mesh(const RasterTarget& target, std::span<const MeshVertex> vertices,
                     int cols, int rows, float weight, const SpotProfile& profile,
                     RasterStats& stats) {
+  DCSN_CHECK(cols < 2 || rows < 2 ||
+                 vertices.size() >=
+                     static_cast<std::size_t>(cols) * static_cast<std::size_t>(rows),
+             "rasterize_mesh: fewer vertices than cols * rows");
   Raster ctx(target, profile);
-  mesh_with_kernel(select_kernel(target.algorithm), ctx, vertices, cols, rows, weight,
-                   stats);
+  raster_mesh(ctx, vertices, cols, rows, weight, stats);
+  flush_triangles(ctx, stats);
 }
 
 void rasterize_buffer(const RasterTarget& target, const CommandBuffer& buffer,
                       const SpotProfile& profile, RasterStats& stats) {
-  const TriKernel kernel = select_kernel(target.algorithm);
   Raster ctx(target, profile);
   for (const MeshHeader& h : buffer.meshes()) {
-    mesh_with_kernel(kernel, ctx, buffer.vertices_of(h), h.cols, h.rows, h.intensity,
-                     stats);
+    raster_mesh(ctx, buffer.vertices_of(h), h.cols, h.rows, h.intensity, stats);
   }
+  flush_triangles(ctx, stats);
 }
 
 }  // namespace dcsn::render

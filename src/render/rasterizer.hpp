@@ -12,21 +12,28 @@
 //
 // Two interchangeable triangle fill algorithms (RasterAlgorithm):
 //
-//   * kSpan (default) — a span-based scanline kernel. Per row the three
-//     canonical edge functions are solved for the exact covered interval
-//     [x_start, x_end) — on a triangle at most 8 columns wide by testing
-//     all its columns at once in 8 float lanes, on a wider one by a seeded
-//     walk to each boundary; inside it u, v and the bilinear fetch are stepped
-//     with per-triangle constants (SpotProfile::RowSampler) and blended
-//     through the util::simd kernels — a straight-line add/fetch/blend with
-//     no per-fragment branches, and no iterations spent on rejected pixels.
+//   * kSpan (default) — batched setup plus a span-based scanline kernel.
+//     Triangles queue in emission order (quad by quad, across mesh
+//     boundaries) and are set up eight at a time, one per SIMD lane
+//     (util/lanes.hpp; AVX2 or portable lanes by the active SIMD tier),
+//     each lane performing the scalar setup's IEEE operations in the same
+//     order. Then each live triangle, in order, solves its rows for the
+//     exact covered intervals [x_start, x_end) — on a triangle at most 8
+//     columns wide by one lane pass that yields every bbox row's coverage
+//     mask at once, so rows with no covered pixel centre cost nothing; on a
+//     wider one by a seeded walk to each boundary; inside each interval u,
+//     v and the bilinear fetch are stepped with per-triangle constants
+//     (SpotProfile::RowSampler) and blended through the util::simd kernels
+//     — a straight-line add/fetch/blend with no per-fragment branches.
 //     Spans of a few fragments blend inline with the same scalar
 //     expression every kernel tier reproduces, so the cut-over never
-//     shows in a pixel.
+//     shows in a pixel. A single triangle is a batch with one live lane:
+//     there is one kSpan path.
 //   * kReference — the original bounding-box walk testing all three edge
-//     functions per pixel. The oracle of the equivalence tests, the
-//     reference golden scenes and the bench_raster_kernel ablation; only
-//     RasterTarget::algorithm selects it — every pipe rasterizes with kSpan.
+//     functions per pixel, with the scalar per-triangle setup. The oracle
+//     of the equivalence tests, the reference golden scenes and the
+//     bench_raster_kernel ablation; only RasterTarget::algorithm selects
+//     it — every pipe rasterizes with kSpan.
 //
 // Both algorithms construct edges from the same canonical endpoint ordering
 // and evaluate every edge value with the same expression (direct multiply
@@ -106,15 +113,15 @@ void rasterize_triangle(const RasterTarget& target, const MeshVertex& a,
                         const SpotProfile& profile, RasterStats& stats);
 
 /// Rasterizes a cols-x-rows mesh (row-major vertices) as its component
-/// quads. The algorithm is dispatched once per mesh, not per triangle.
+/// quads. Throws util::Error when cols and rows are both at least 2 and
+/// `vertices` holds fewer than cols * rows vertices.
 void rasterize_mesh(const RasterTarget& target, std::span<const MeshVertex> vertices,
                     int cols, int rows, float weight, const SpotProfile& profile,
                     RasterStats& stats);
 
-/// Rasterizes every mesh in a command buffer. The algorithm dispatch is
-/// hoisted out of the mesh loop: the triangle kernel is selected once and
-/// passed down, and so is the per-call raster state (kernel table, span
-/// batch).
+/// Rasterizes every mesh in a command buffer. The per-call raster state
+/// (kernel table, triangle and span batches) is built once, and kSpan
+/// batches fill across mesh boundaries.
 void rasterize_buffer(const RasterTarget& target, const CommandBuffer& buffer,
                       const SpotProfile& profile, RasterStats& stats);
 

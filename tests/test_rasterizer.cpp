@@ -10,7 +10,9 @@
 // blends an exact float quantum and framebuffers can be compared bit-exactly.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -20,7 +22,9 @@
 #include "render/framebuffer.hpp"
 #include "render/rasterizer.hpp"
 #include "render/spot_profile.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/simd_dispatch.hpp"
 
 namespace {
 
@@ -591,6 +595,218 @@ TEST(SpanEquivalence, TileClippedSpansMatchFullTargetBitwise) {
       }
     }
   }
+}
+
+// Bit-level framebuffer equality: unlike operator==, tells -0.0f from +0.0f
+// and compares NaN payloads.
+bool bitwise_equal(const Framebuffer& lhs, const Framebuffer& rhs) {
+  if (lhs.width() != rhs.width() || lhs.height() != rhs.height()) return false;
+  for (int y = 0; y < lhs.height(); ++y) {
+    for (int x = 0; x < lhs.width(); ++x) {
+      if (std::bit_cast<std::uint32_t>(lhs.at(x, y)) !=
+          std::bit_cast<std::uint32_t>(rhs.at(x, y))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// One mesh of the batch fuzz: row-major vertices and the mesh's intensity.
+struct FuzzMesh {
+  std::vector<MeshVertex> vertices;
+  int cols = 2;
+  int rows = 2;
+  float weight = 1.0f;
+};
+
+// Meshes whose triangles exercise every part of the batched span setup:
+// random (partly folded) grids and 16x3 ribbons around a 64x48 texture;
+// single quads whose solve windows are exactly 7, 8 or 9 columns wide and up
+// to 20 rows tall, so lane and walk solves and multi-block row passes mix
+// inside one batch; and hostile quads — a NaN, infinite or ±1e12 vertex,
+// zero-area quads, vertices on pixel centres, anchors clamped at 2^22. The
+// count varies, so the final batch is usually partial, and one-quad meshes
+// with their own weights put mesh boundaries inside batches.
+std::vector<FuzzMesh> batch_fuzz_meshes(dcsn::util::Rng& rng) {
+  const auto f = [&](double lo, double hi) { return static_cast<float>(rng.uniform(lo, hi)); };
+  const auto uv = [&] { return f(-0.05, 1.05); };
+  const auto quad = [&](MeshVertex v00, MeshVertex v10, MeshVertex v01, MeshVertex v11) {
+    return FuzzMesh{{v00, v10, v01, v11}, 2, 2, f(-1.0, 1.0)};
+  };
+  std::vector<FuzzMesh> meshes;
+  const int count = 14 + static_cast<int>(rng.index(20));
+  for (int m = 0; m < count; ++m) {
+    switch (rng.index(5)) {
+      case 0: {  // a random grid, jittered enough to fold now and then
+        FuzzMesh mesh;
+        mesh.cols = 2 + static_cast<int>(rng.index(5));
+        mesh.rows = 2 + static_cast<int>(rng.index(3));
+        mesh.weight = f(-1.0, 1.0);
+        const double x0 = rng.uniform(-8.0, 66.0);
+        const double y0 = rng.uniform(-8.0, 50.0);
+        const double step = rng.uniform(0.7, 5.0);
+        for (int j = 0; j < mesh.rows; ++j) {
+          for (int i = 0; i < mesh.cols; ++i) {
+            mesh.vertices.push_back(vtx(static_cast<float>(x0 + i * step) + f(-0.6, 0.6),
+                                        static_cast<float>(y0 + j * step) + f(-0.6, 0.6),
+                                        uv(), uv()));
+          }
+        }
+        meshes.push_back(std::move(mesh));
+        break;
+      }
+      case 1:  // the served animation mesh
+        meshes.push_back({tiny_ribbon(rng, -4.0, 68.0, -4.0, 52.0), kTinyCols, kTinyRows,
+                          f(-1.0, 1.0)});
+        break;
+      case 2: {  // windows of 7, 8 or 9 columns; up to 20 rows tall
+        const float x0 = std::floor(f(-6.0, 62.0));
+        const float y0 = f(-6.0, 44.0);
+        const float w = 5.6f + static_cast<float>(rng.index(3)) + f(0.0, 0.35);
+        const float h = f(0.5, 20.0);
+        meshes.push_back(quad(vtx(x0 + 0.3f, y0, uv(), uv()),
+                              vtx(x0 + w, y0 + f(0.0, 2.0), uv(), uv()),
+                              vtx(x0 + f(0.3, 2.0), y0 + h, uv(), uv()),
+                              vtx(x0 + w - f(0.0, 2.0), y0 + h + f(0.0, 1.0), uv(), uv())));
+        break;
+      }
+      case 3: {  // pixel-centre vertices: edge values hit exactly zero
+        const auto c = [&](double lo, double hi) { return std::floor(f(lo, hi)) + 0.5f; };
+        meshes.push_back(quad(vtx(c(-2, 62), c(-2, 46), uv(), uv()),
+                              vtx(c(-2, 62), c(-2, 46), uv(), uv()),
+                              vtx(c(-2, 62), c(-2, 46), uv(), uv()),
+                              vtx(c(-2, 62), c(-2, 46), uv(), uv())));
+        break;
+      }
+      default: {  // hostile
+        const float x = f(2.0, 60.0);
+        const float y = f(2.0, 44.0);
+        MeshVertex v[4] = {vtx(x, y, uv(), uv()), vtx(x + f(1, 9), y + f(-2, 2), uv(), uv()),
+                           vtx(x + f(-2, 2), y + f(1, 9), uv(), uv()),
+                           vtx(x + f(1, 9), y + f(1, 9), uv(), uv())};
+        MeshVertex& victim = v[rng.index(4)];
+        switch (rng.index(7)) {
+          case 0: victim.x = kNaN; break;
+          case 1: victim.y = kInf; break;
+          case 2: victim.x = rng.uniform(0.0, 1.0) < 0.5 ? -1e12f : 1e12f; break;
+          case 3: victim.y = -1e12f; break;
+          case 4: victim = v[(&victim - v + 1) % 4]; break;  // a zero-area triangle
+          case 5:  // anchors clamped at -2^22, windows past the geometric slack
+            victim.x = f(-6e6, -4.3e6);
+            if (rng.uniform(0.0, 1.0) < 0.5) victim.y = f(-6e6, -4.3e6);
+            break;
+          default:  // collinear: both triangles of the quad have zero area
+            v[1] = vtx(x + 2.0f, y + 1.0f, uv(), uv());
+            v[2] = vtx(x + 4.0f, y + 2.0f, uv(), uv());
+            v[3] = vtx(x + 8.0f, y + 4.0f, uv(), uv());
+            break;
+        }
+        meshes.push_back(quad(v[0], v[1], v[2], v[3]));
+        break;
+      }
+    }
+  }
+  return meshes;
+}
+
+TEST(SpanBatchFuzz, BatchesMatchOneLaneOnEveryTier) {
+  // The span path sets triangles up eight at a time, in lanes. Rasterizing
+  // a command buffer (batches across mesh boundaries), each mesh alone
+  // (batches within a mesh) and each triangle alone (one live lane) must
+  // give the same pixels bit for bit and the same RasterStats — on every
+  // SIMD tier, and every tier the same pixels as the first.
+  const SpotProfile profile(SpotShape::kCosine, 64);
+  const dcsn::util::simd::Tier ambient = dcsn::util::simd::active_tier();
+  struct Target {
+    int width, height, origin_x, origin_y;
+  };
+  const Target targets[] = {{64, 48, 0, 0}, {32, 24, 16, 8}, {23, 41, 37, 5}};
+  std::int64_t triangles = 0;
+  std::int64_t narrow = 0;
+  for (int round = 0; round < 40; ++round) {
+    dcsn::util::Rng rng(0xba7c4000u + static_cast<std::uint64_t>(round));
+    const std::vector<FuzzMesh> meshes = batch_fuzz_meshes(rng);
+    dcsn::render::CommandBuffer buffer;
+    std::int64_t quads = 0;
+    for (const FuzzMesh& m : meshes) {
+      const auto out = buffer.add_mesh(m.weight, m.cols, m.rows);
+      std::copy(m.vertices.begin(), m.vertices.end(), out.begin());
+      quads += static_cast<std::int64_t>(m.cols - 1) * (m.rows - 1);
+    }
+    for (const Target& t : targets) {
+      std::vector<Framebuffer> per_tier;
+      for (const dcsn::util::simd::Tier tier : dcsn::util::simd::available_tiers()) {
+        dcsn::util::simd::set_active_tier(tier);
+        const char* name = dcsn::util::simd::tier_name(tier);
+        Framebuffer batched(t.width, t.height);
+        Framebuffer by_mesh(t.width, t.height);
+        Framebuffer one_lane(t.width, t.height);
+        RasterStats batched_stats;
+        RasterStats mesh_stats;
+        RasterStats lane_stats;
+        dcsn::render::rasterize_buffer({batched.pixels(), t.origin_x, t.origin_y}, buffer,
+                                       profile, batched_stats);
+        for (const FuzzMesh& m : meshes) {
+          dcsn::render::rasterize_mesh({by_mesh.pixels(), t.origin_x, t.origin_y},
+                                       m.vertices, m.cols, m.rows, m.weight, profile,
+                                       mesh_stats);
+          for_each_triangle(m.vertices, m.cols, m.rows,
+                            [&](const MeshVertex& a, const MeshVertex& b,
+                                const MeshVertex& c) {
+                              dcsn::render::rasterize_triangle(
+                                  {one_lane.pixels(), t.origin_x, t.origin_y}, a, b, c,
+                                  m.weight, profile, lane_stats);
+                            });
+        }
+        ASSERT_TRUE(bitwise_equal(batched, one_lane))
+            << name << " round " << round << " target origin " << t.origin_x;
+        ASSERT_TRUE(bitwise_equal(by_mesh, one_lane))
+            << name << " round " << round << " target origin " << t.origin_x;
+        for (const RasterStats* s : {&batched_stats, &mesh_stats}) {
+          EXPECT_EQ(s->quads, quads) << name << " round " << round;
+          EXPECT_EQ(s->triangles, lane_stats.triangles) << name << " round " << round;
+          EXPECT_EQ(s->fragments, lane_stats.fragments) << name << " round " << round;
+          EXPECT_EQ(s->pixels_visited, lane_stats.pixels_visited)
+              << name << " round " << round;
+          EXPECT_EQ(s->narrow_triangles, lane_stats.narrow_triangles)
+              << name << " round " << round;
+        }
+        if (!per_tier.empty()) {
+          ASSERT_TRUE(bitwise_equal(per_tier.front(), batched))
+              << name << " differs from the first tier, round " << round;
+        }
+        per_tier.push_back(std::move(batched));
+        triangles += lane_stats.triangles;
+        narrow += lane_stats.narrow_triangles;
+      }
+    }
+  }
+  dcsn::util::simd::set_active_tier(ambient);
+  // Both solvers ran.
+  EXPECT_GT(narrow, 0);
+  EXPECT_GT(triangles - narrow, 0);
+}
+
+TEST(SpanBatchFuzz, RasterizeMeshRejectsShortVertexSpans) {
+  // A 3x2 mesh indexes vertices 0..5; five vertices would be read past.
+  const std::vector<MeshVertex> five(5, vtx(4.0f, 4.0f));
+  const std::vector<MeshVertex> six = {vtx(1, 1), vtx(5, 1), vtx(9, 1),
+                                       vtx(1, 5), vtx(5, 5), vtx(9, 5)};
+  Framebuffer fb(16, 16);
+  RasterStats stats;
+  for (const auto algo : {RasterAlgorithm::kSpan, RasterAlgorithm::kReference}) {
+    const RasterTarget target{fb.pixels(), 0, 0, algo};
+    EXPECT_THROW(dcsn::render::rasterize_mesh(target, five, 3, 2, 1.0f,
+                                              coverage_profile(), stats),
+                 dcsn::util::Error);
+    EXPECT_NO_THROW(dcsn::render::rasterize_mesh(target, six, 3, 2, 1.0f,
+                                                 coverage_profile(), stats));
+    // Fewer than two columns or rows: no quad, nothing read, nothing thrown.
+    EXPECT_NO_THROW(dcsn::render::rasterize_mesh(target, five, 1, 9, 1.0f,
+                                                 coverage_profile(), stats));
+  }
+  EXPECT_EQ(stats.quads, 4);
 }
 
 TEST(SpanIntegration, SynthesizerAlgorithmEquivalence) {
