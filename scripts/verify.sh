@@ -242,10 +242,8 @@ simd_tiers_gates() {
   run_gate "simd lane fuzz" "$BUILD_DIR/tests/test_spot_geometry" --gtest_brief=1 \
     --gtest_filter='SpotGeometryLanes.*'
   echo "-- batched raster setup vs one lane on every tier (test_rasterizer)"
-  for tier in scalar sse2 avx2; do
-    run_gate "simd raster batch fuzz ($tier ambient)" env DCSN_SIMD="$tier" \
-      "$BUILD_DIR/tests/test_rasterizer" --gtest_brief=1 --gtest_filter='SpanBatchFuzz.*'
-  done
+  run_gate "simd raster batch fuzz" "$BUILD_DIR/tests/test_rasterizer" --gtest_brief=1 \
+    --gtest_filter='SpanBatchFuzz.*'
 }
 
 # The single-suite modes run only their own suite.

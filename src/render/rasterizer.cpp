@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "util/error.hpp"
 #include "util/lanes.hpp"
@@ -802,25 +801,6 @@ void queue_triangle(Raster& ctx, const MeshVertex& a, const MeshVertex& b,
   if (++t.count == kBatch) flush_triangles(ctx, stats);
 }
 
-// True when no triangle of the mesh can touch the target, so none need
-// setting up. Exact: the bbox skips NaN coordinates (it starts at ±inf and
-// NaN never wins a compare), and a triangle's own bbox either holds a NaN
-// (then its reject fires) or lies inside this one.
-bool mesh_misses_target(const Raster& ctx, std::span<const MeshVertex> vertices) {
-  float min_x = std::numeric_limits<float>::infinity();
-  float min_y = min_x;
-  float max_x = -min_x;
-  float max_y = -min_x;
-  for (const MeshVertex& p : vertices) {
-    min_x = p.x < min_x ? p.x : min_x;
-    min_y = p.y < min_y ? p.y : min_y;
-    max_x = max_x < p.x ? p.x : max_x;
-    max_y = max_y < p.y ? p.y : max_y;
-  }
-  return !(min_x < ctx.tx1) || !(min_y < ctx.ty1) || !(max_x >= ctx.tx0) ||
-         !(max_y >= ctx.ty0);
-}
-
 // A cols-x-rows mesh as its quads' triangles in emission order: for quad
 // (i, j), v00-v10-v11 then v00-v11-v01. The span path queues them for
 // batched setup; the reference path walks each at once.
@@ -829,7 +809,6 @@ void raster_mesh(Raster& ctx, std::span<const MeshVertex> vertices, int cols, in
   if (cols < 2 || rows < 2) return;
   stats.quads += static_cast<std::int64_t>(cols - 1) * static_cast<std::int64_t>(rows - 1);
   const bool reference = ctx.target.algorithm == RasterAlgorithm::kReference;
-  if (!reference && mesh_misses_target(ctx, vertices)) return;
   auto vertex = [&](int i, int j) -> const MeshVertex& {
     return vertices[static_cast<std::size_t>(j) * static_cast<std::size_t>(cols) +
                     static_cast<std::size_t>(i)];
