@@ -75,29 +75,39 @@ void FrameClient::apply_frame_sequence(const FrameBeginMsg& begin,
     if (!read_message(socket_, &type, &payload)) {
       throw ProtocolError("connection closed mid-frame");
     }
-    if (type != MsgType::kFrameTile) {
-      throw ProtocolError("expected kFrameTile inside a frame sequence");
-    }
     WireReader reader(payload);
-    const FrameTileMsg tile = FrameTileMsg::decode(reader);
-    // Subtract, not add: x0 + width overflows for an origin near INT_MAX.
-    // decode() already guarantees width and height are positive.
-    if (tile.x0 < 0 || tile.y0 < 0 || tile.x0 > fb_.width() - tile.width ||
-        tile.y0 > fb_.height() - tile.height) {
-      throw ProtocolError("tile rect outside the framebuffer");
-    }
-    // The payload hash binds pixels to their rect: a swapped or reordered
-    // payload — valid bytes in the wrong tile — fails here.
-    const std::uint64_t expected = tile_payload_hash(
-        tile.x0, tile.y0, tile.width, tile.height, tile.pixels);
-    if (expected != tile.tile_hash) {
-      throw ProtocolError("tile payload hash mismatch");
-    }
-    const auto rect =
-        fb_.pixels().subview(tile.x0, tile.y0, tile.width, tile.height);
-    for (int y = 0; y < tile.height; ++y) {
-      std::copy_n(tile.pixels.begin() + std::ptrdiff_t{y} * tile.width,
-                  tile.width, rect.row(y).begin());
+    if (type == MsgType::kFrameTileRef) {
+      if (result.full) {
+        throw ProtocolError("tile reference inside a full frame");
+      }
+      const FrameTileRefMsg ref = FrameTileRefMsg::decode(reader);
+      const TileRect* held = tile_cache_.find(ref.tile_hash);
+      if (held == nullptr) {
+        throw ProtocolError("reference to a tile the client does not hold");
+      }
+      if (*held != ref.rect) {
+        throw ProtocolError("tile reference rect differs from the held tile");
+      }
+      apply_tile(ref.rect, ref.tile_hash, {});
+      ++result.tiles_by_ref;
+    } else if (type == MsgType::kFrameTile) {
+      const FrameTileMsg tile = FrameTileMsg::decode(reader);
+      const TileRect rect{tile.x0, tile.y0, tile.width, tile.height};
+      // Subtract, not add: x0 + width overflows for an origin near INT_MAX.
+      // decode() already guarantees width and height are positive.
+      if (rect.x0 < 0 || rect.y0 < 0 || rect.x0 > fb_.width() - rect.width ||
+          rect.y0 > fb_.height() - rect.height) {
+        throw ProtocolError("tile rect outside the framebuffer");
+      }
+      // The payload hash binds pixels to their rect: a swapped or reordered
+      // payload — valid bytes in the wrong tile — fails here.
+      if (tile_payload_hash(rect.x0, rect.y0, rect.width, rect.height,
+                            tile.pixels) != tile.tile_hash) {
+        throw ProtocolError("tile payload hash mismatch");
+      }
+      apply_tile(rect, tile.tile_hash, tile.pixels);
+    } else {
+      throw ProtocolError("expected a tile message inside a frame sequence");
     }
     result.wire_bytes += kHeaderBytes + payload.size();
   }
@@ -115,6 +125,34 @@ void FrameClient::apply_frame_sequence(const FrameBeginMsg& begin,
     throw ProtocolError("reassembled frame hash does not match the engine");
   }
   frames_.push_back(FrameEvent{result, std::nullopt});
+}
+
+void FrameClient::apply_tile(const TileRect& rect, std::uint64_t hash,
+                             std::span<const float> pixels) {
+  const auto target =
+      fb_.pixels().subview(rect.x0, rect.y0, rect.width, rect.height);
+  const bool by_ref = pixels.empty();
+  // The LRU keeps the tile this one displaces: save it before the
+  // framebuffer is overwritten. A reference's cached pixels trade places
+  // with it, so a hit costs one pass and no allocation.
+  (void)tile_cache_.deliver(rect, hash, [&](std::vector<float>& saved) {
+    saved.resize(static_cast<std::size_t>(rect.width) *
+                 static_cast<std::size_t>(rect.height));
+    for (int y = 0; y < rect.height; ++y) {
+      const auto row = target.row(y);
+      const auto at = saved.begin() + std::ptrdiff_t{y} * rect.width;
+      if (by_ref) {
+        std::swap_ranges(row.begin(), row.end(), at);
+      } else {
+        std::copy(row.begin(), row.end(), at);
+      }
+    }
+  });
+  if (by_ref) return;
+  for (int y = 0; y < rect.height; ++y) {
+    std::copy_n(pixels.begin() + std::ptrdiff_t{y} * rect.width, rect.width,
+                target.row(y).begin());
+  }
 }
 
 void FrameClient::pump_one() {

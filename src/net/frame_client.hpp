@@ -10,6 +10,11 @@
 // here), and after the last tile the reassembled framebuffer's
 // content_hash must equal the engine hash in the frame header bit for bit.
 // A mismatch throws — a client never silently displays a corrupt frame.
+//
+// The client keeps the tiles its framebuffer displaced in a TileLru
+// (net/tile_lru.hpp) that the server mirrors. A kFrameTileRef names one of
+// them: its hash must be held and its rect must match, or the frame is a
+// ProtocolError; a tile-hash collision still fails the frame hash.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 #include "core/synthesis_service.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "net/tile_lru.hpp"
 #include "render/framebuffer.hpp"
 
 namespace dcsn::net {
@@ -57,9 +63,10 @@ class FrameClient {
     std::uint64_t content_hash = 0;
     bool degraded = false;
     bool full = false;  ///< every tile transmitted (first frame)
-    int tiles = 0;      ///< tiles actually transmitted
-    /// Bytes on the wire for this frame: headers + tile payloads. The
-    /// bench's delta-vs-full ratio numerator.
+    int tiles = 0;      ///< changed tiles, sent in full or by reference
+    int tiles_by_ref = 0;  ///< of those, sent as a kFrameTileRef
+    /// Bytes on the wire for this frame: every message's header and
+    /// payload. The bench's delta-vs-full ratio numerator.
     std::uint64_t wire_bytes = 0;
     std::int64_t service_seq = 0;
     int attempts = 1;
@@ -116,9 +123,15 @@ class FrameClient {
   void pump_one();
   void apply_frame_sequence(const FrameBeginMsg& begin,
                             std::size_t begin_payload_bytes);
+  /// Runs one tile message through the LRU and puts its pixels on screen:
+  /// `pixels` for a full tile, the cached payload for a reference (empty
+  /// `pixels`, whose hash the caller has checked is held at `rect`).
+  void apply_tile(const TileRect& rect, std::uint64_t hash,
+                  std::span<const float> pixels);
 
   Socket socket_;
   render::Framebuffer fb_;
+  TileLru<std::vector<float>> tile_cache_{kTileCacheBytes};
   bool session_open_ = false;
   std::uint64_t next_tag_ = 1;
   std::map<std::uint64_t, std::int64_t> acks_;  ///< tag -> job id

@@ -1,30 +1,11 @@
 #include "net/frame_server.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "util/threading.hpp"
 
 namespace dcsn::net {
-
-namespace {
-
-/// True when any row of `tile` differs bytewise between `a` and `b`.
-bool tile_changed(const render::Framebuffer& a, const render::Framebuffer& b,
-                  const core::Tile& tile) {
-  const auto ra = a.pixels().subview(tile.x0, tile.y0, tile.width, tile.height);
-  const auto rb = b.pixels().subview(tile.x0, tile.y0, tile.width, tile.height);
-  for (int y = 0; y < tile.height; ++y) {
-    if (std::memcmp(ra.row(y).data(), rb.row(y).data(),
-                    ra.row(y).size_bytes()) != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 FrameServer::FrameServer(FrameServerOptions options, core::Runtime& runtime)
     : options_(std::move(options)), service_(options_.service, runtime) {
@@ -245,12 +226,31 @@ void FrameServer::reader_loop(Connection& conn) {
 void FrameServer::send_frame(Connection& conn, const PendingFrame& frame,
                              core::SynthesisResult& result) {
   const render::Framebuffer& texture = *result.texture;
-  // Every tile of the first frame, then only the tiles whose bytes differ
-  // from what the client holds — a degraded (stale) frame included.
-  const bool full = !conn.sent.has_value();
-  std::vector<const core::Tile*> to_send;
-  for (const core::Tile& t : conn.wire_tiles) {
-    if (full || tile_changed(*conn.sent, texture, t)) to_send.push_back(&t);
+  // Copies a tile's rows into `out`, where they are hashed and sent from.
+  const auto gather = [&texture](const TileRect& rect, std::span<float> out) {
+    const auto rows = texture.pixels().subview(rect.x0, rect.y0, rect.width, rect.height);
+    for (int y = 0; y < rect.height; ++y) {
+      const auto row = rows.row(y);
+      std::copy(row.begin(), row.end(), out.begin() + std::ptrdiff_t{y} * rect.width);
+    }
+  };
+
+  // A tile ships when its hash differs from the one last delivered at its
+  // rect (what the client shows) — every tile of the first frame, then only
+  // changed ones, a degraded (stale) frame included.
+  bool first = true;
+  std::vector<FrameTileRefMsg> to_send;
+  for (const core::Tile& tile : conn.wire_tiles) {
+    const TileRect rect{tile.x0, tile.y0, tile.width, tile.height};
+    const std::size_t count = rect.payload_bytes() / sizeof(float);
+    if (count > conn.tile_rows.size()) conn.tile_rows.resize(count);
+    const std::span<float> pixels(conn.tile_rows.data(), count);
+    gather(rect, pixels);
+    const std::uint64_t hash =
+        tile_payload_hash(rect.x0, rect.y0, rect.width, rect.height, pixels);
+    const std::uint64_t* shown = conn.tile_cache.shown(rect);
+    first = first && shown == nullptr;
+    if (shown == nullptr || *shown != hash) to_send.push_back({rect, hash});
   }
 
   FrameBeginMsg begin;
@@ -261,39 +261,38 @@ void FrameServer::send_frame(Connection& conn, const PendingFrame& frame,
   begin.height = texture.height();
   begin.tile_count = static_cast<std::uint32_t>(to_send.size());
   begin.flags = (result.stats.degraded ? FrameBeginMsg::kFlagDegraded : 0) |
-                (full ? FrameBeginMsg::kFlagFull : 0);
+                (first ? FrameBeginMsg::kFlagFull : 0);
   begin.service_seq = result.service_seq;
   begin.attempts = result.attempts;
 
-  {
-    // Hold the write mutex across the whole Begin -> Tiles -> End sequence
-    // so reader-thread control replies cannot splice into the frame.
-    util::MutexLock lock(conn.write_mutex);
-    send_message(conn.socket, MsgType::kFrameBegin, begin.encode());
-    FrameTileMsg msg;
-    for (const core::Tile* tile : to_send) {
-      msg.x0 = tile->x0;
-      msg.y0 = tile->y0;
-      msg.width = tile->width;
-      msg.height = tile->height;
-      const auto rect = texture.pixels().subview(tile->x0, tile->y0,
-                                                 tile->width, tile->height);
-      msg.pixels.clear();
-      msg.pixels.reserve(static_cast<std::size_t>(tile->width) *
-                         static_cast<std::size_t>(tile->height));
-      for (int y = 0; y < tile->height; ++y) {
-        const auto row = rect.row(y);
-        msg.pixels.insert(msg.pixels.end(), row.begin(), row.end());
-      }
-      msg.tile_hash = tile_payload_hash(msg.x0, msg.y0, msg.width,
-                                        msg.height, msg.pixels);
-      send_message(conn.socket, MsgType::kFrameTile, msg.encode());
+  // Hold the write mutex across the whole Begin -> Tiles -> End sequence
+  // so reader-thread control replies cannot splice into the frame.
+  util::MutexLock lock(conn.write_mutex);
+  conn.batch.add(MsgType::kFrameBegin, begin.encode());
+  std::size_t used = 0;  // floats of tile_rows the batch references
+  for (const FrameTileRefMsg& ref : to_send) {
+    const TileRect* held = conn.tile_cache.find(ref.tile_hash);
+    const bool by_ref = held != nullptr && *held == ref.rect;
+    (void)conn.tile_cache.deliver(ref.rect, ref.tile_hash, [](NoPayload&) {});
+    // The reference is the full tile's prefix without the pixels.
+    if (by_ref) {
+      conn.batch.add(MsgType::kFrameTileRef, ref.encode());
+      continue;
     }
-    FrameEndMsg end;
-    end.client_tag = frame.client_tag;
-    send_message(conn.socket, MsgType::kFrameEnd, end.encode());
+    const std::size_t count = ref.rect.payload_bytes() / sizeof(float);
+    if (used + count > conn.tile_rows.size()) {
+      conn.batch.send(conn.socket);  // nothing references tile_rows now
+      used = 0;
+    }
+    const std::span<float> pixels(conn.tile_rows.data() + used, count);
+    gather(ref.rect, pixels);
+    conn.batch.add(MsgType::kFrameTile, ref.encode(), pixel_bytes(pixels));
+    used += count;
   }
-  conn.sent = std::move(result.texture);
+  FrameEndMsg end;
+  end.client_tag = frame.client_tag;
+  conn.batch.add(MsgType::kFrameEnd, end.encode());
+  conn.batch.send(conn.socket);
 }
 
 void FrameServer::pump_loop(Connection& conn) {

@@ -22,13 +22,21 @@
 // jobs per connection — exactly the bounded queue depth its PerfModel
 // admission check reasons about.
 //
-// Delta encoding: the pump keeps the last texture it delivered on each
-// connection. A finished frame ships the wire tiles whose bytes differ from
-// that texture (memcmp row by row, so -0.0f vs +0.0f and NaN payloads count
-// as changes, as they do in the frame hash); the first frame ships full.
-// An untransmitted tile is therefore bitwise equal to what the client holds
-// by construction, whatever produced the frame: a clean render, a degraded
-// (stale) frame or a reordered spot population.
+// Delta encoding: the pump hashes every wire tile of a finished frame
+// (tile_payload_hash, which sees bits, so -0.0f vs +0.0f and NaN payloads
+// count as changes, as they do in the frame hash) and ships the tiles whose
+// hash differs from the one it last delivered at that rect; the first frame
+// ships full. An untransmitted tile therefore matches what the client holds
+// whatever produced the frame — a clean render, a degraded (stale) frame or
+// a reordered spot population — and a hash collision could only fail the
+// client's content_hash check, never show a wrong frame. A changed tile the
+// client still holds in its tile LRU travels as a kFrameTileRef instead of
+// pixels: the pump runs a key-only TileLru (net/tile_lru.hpp) through the
+// same deliver() steps as the client, in stream order, so it knows what
+// the client holds without asking. A tile sent in full is gathered into a
+// reused buffer; the frame's messages reference it in a MessageBatch
+// written with one sendmsg per 64 KiB of pixels, so a client reading
+// 33-byte references finds them waiting instead of waking for each.
 //
 // Shutdown is a graceful drain: stop() half-closes every connection's read
 // side (clients see EOF, readers stop accepting), pumps deliver every
@@ -49,6 +57,7 @@
 #include "core/tiling.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "net/tile_lru.hpp"
 #include "render/framebuffer.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -123,9 +132,14 @@ class FrameServer {
     std::unique_ptr<field::VectorField> field;  // lock-lint: unguarded(written before first submit, mutex handoff)
     std::vector<core::Tile> wire_tiles;  // lock-lint: unguarded(written before first submit, mutex handoff)
 
-    /// The last texture delivered on this connection — what the client
-    /// holds; empty until the first frame ships.
-    std::optional<render::Framebuffer> sent;  // lock-lint: unguarded(pump thread only)
+    /// The client's tile LRU, mirrored key by key: the hashes it shows
+    /// decide which tiles changed, and a hit ships as a reference.
+    TileLru<NoPayload> tile_cache{kTileCacheBytes};  // lock-lint: unguarded(pump thread only)
+    /// Tile rows gathered to hash, and those of tiles sent in full: up to
+    /// 64 KiB of them are queued in `batch` before it is written.
+    std::vector<float> tile_rows = std::vector<float>(16384);  // lock-lint: unguarded(pump thread only)
+    /// A frame sequence's messages, written with few sendmsg(2) calls.
+    MessageBatch batch;  // lock-lint: unguarded(pump thread only)
 
     std::atomic<bool> finished{false};  ///< both loops exited (reapable)
 

@@ -129,6 +129,28 @@ void encode_dnc(WireWriter& w, const core::DncConfig& c) {
   return c;
 }
 
+// The rect-and-hash prefix every tile message starts with.
+void encode_tile_prefix(WireWriter& w, const FrameTileRefMsg& m) {
+  w.i32(m.rect.x0);
+  w.i32(m.rect.y0);
+  w.i32(m.rect.width);
+  w.i32(m.rect.height);
+  w.u64(m.tile_hash);
+}
+
+[[nodiscard]] FrameTileRefMsg decode_tile_prefix(WireReader& r) {
+  FrameTileRefMsg m;
+  m.rect.x0 = r.i32();
+  m.rect.y0 = r.i32();
+  m.rect.width = r.i32();
+  m.rect.height = r.i32();
+  m.tile_hash = r.u64();
+  if (m.rect.width <= 0 || m.rect.height <= 0) {
+    throw ProtocolError("empty tile rect");
+  }
+  return m;
+}
+
 }  // namespace
 
 void FieldSpec::encode(WireWriter& w) const {
@@ -309,26 +331,35 @@ std::uint64_t tile_payload_hash(std::int32_t x0, std::int32_t y0,
   return util::lane_hash(pixels.data(), pixels.size_bytes(), h);
 }
 
+std::vector<std::uint8_t> FrameTileRefMsg::encode() const {
+  WireWriter w;
+  w.reserve(kTileHeaderBytes);
+  encode_tile_prefix(w, *this);
+  return w.take();
+}
+
+FrameTileRefMsg FrameTileRefMsg::decode(WireReader& r) {
+  const FrameTileRefMsg m = decode_tile_prefix(r);
+  r.expect_end();
+  return m;
+}
+
 std::vector<std::uint8_t> FrameTileMsg::encode() const {
   WireWriter w;
   w.reserve(kTileHeaderBytes + pixels.size() * sizeof(float));
-  w.i32(x0);
-  w.i32(y0);
-  w.i32(width);
-  w.i32(height);
-  w.u64(tile_hash);
+  encode_tile_prefix(w, {{x0, y0, width, height}, tile_hash});
   w.bytes(pixels.data(), pixels.size() * sizeof(float));
   return w.take();
 }
 
 FrameTileMsg FrameTileMsg::decode(WireReader& r) {
+  const FrameTileRefMsg prefix = decode_tile_prefix(r);
   FrameTileMsg m;
-  m.x0 = r.i32();
-  m.y0 = r.i32();
-  m.width = r.i32();
-  m.height = r.i32();
-  m.tile_hash = r.u64();
-  if (m.width <= 0 || m.height <= 0) throw ProtocolError("empty tile rect");
+  m.x0 = prefix.rect.x0;
+  m.y0 = prefix.rect.y0;
+  m.width = prefix.rect.width;
+  m.height = prefix.rect.height;
+  m.tile_hash = prefix.tile_hash;
   const std::size_t count =
       static_cast<std::size_t>(m.width) * static_cast<std::size_t>(m.height);
   if (count * 4 != r.remaining()) {
@@ -419,16 +450,27 @@ ErrorMsg ErrorMsg::decode(WireReader& r) {
   return m;
 }
 
-std::vector<std::uint8_t> frame_message(MsgType type,
-                                        std::span<const std::uint8_t> payload) {
-  if (payload.size() > kMaxPayloadBytes) {
+std::array<std::uint8_t, kHeaderBytes> message_header(MsgType type,
+                                                     std::size_t payload_len) {
+  if (payload_len > kMaxPayloadBytes) {
     throw ProtocolError("message payload exceeds kMaxPayloadBytes");
   }
+  const auto len = static_cast<std::uint32_t>(payload_len);
+  std::array<std::uint8_t, kHeaderBytes> h{};
+  for (int i = 0; i < 4; ++i) {
+    h[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(kMagic >> (8 * i));
+    h[static_cast<std::size_t>(5 + i)] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  h[4] = static_cast<std::uint8_t>(type);
+  return h;
+}
+
+std::vector<std::uint8_t> frame_message(MsgType type,
+                                        std::span<const std::uint8_t> payload) {
+  const auto header = message_header(type, payload.size());
   WireWriter w;
   w.reserve(kHeaderBytes + payload.size());
-  w.u32(kMagic);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.bytes(header.data(), header.size());
   w.bytes(payload.data(), payload.size());
   return w.take();
 }

@@ -15,11 +15,14 @@
 // which is why protocol.cpp requires a little-endian host.
 //
 // A frame result travels as a kFrameBegin header (dimensions, the engine's
-// Framebuffer::content_hash, tile count, flags) followed by one kFrameTile
-// per transmitted tile (pixel rect + a util::lane_hash binding the rect to
-// its payload, so a reordered or swapped payload is rejected) and a
-// kFrameEnd. Both hashes are part of the wire contract: changing either one
-// bumps kProtocolVersion.
+// Framebuffer::content_hash, tile count, flags) followed by one tile message
+// per changed tile and a kFrameEnd. A tile message is either a kFrameTile
+// (pixel rect + a util::lane_hash binding the rect to its payload, so a
+// reordered or swapped payload is rejected, + the pixels) or, for a tile
+// the client still holds in its tile LRU (net/tile_lru.hpp), a
+// kFrameTileRef: the same rect and hash without the pixels, 33 bytes on the
+// wire. Both hashes and the LRU budget kTileCacheBytes are part of the wire
+// contract: changing any of them bumps kProtocolVersion.
 // Clean tiles are simply not transmitted: the client's previous pixels are
 // already bit-exact there (the PR 4 determinism lattice), which is how
 // core::FrameDelta doubles as bandwidth compression.
@@ -33,6 +36,7 @@
 // suite in tests/test_net.cpp feeds exactly those corruptions.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -45,6 +49,7 @@
 #include "core/spot_params.hpp"
 #include "core/spot_source.hpp"
 #include "field/vector_field.hpp"
+#include "net/tile_lru.hpp"
 #include "util/error.hpp"
 
 namespace dcsn::net {
@@ -57,14 +62,20 @@ class ProtocolError : public util::Error {
 };
 
 inline constexpr std::uint32_t kMagic = 0x4E534344u;  // "DCSN" little-endian
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 /// Upper bound on a declared payload length. A 4 KiB texture at f32 is
 /// 64 MiB; anything above this is a corrupt or hostile length prefix, not a
 /// frame, and must be rejected *before* allocating.
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
 inline constexpr std::size_t kHeaderBytes = 9;
-/// A kFrameTile payload is this rect-and-hash prefix plus 4 bytes a pixel.
+/// A kFrameTile payload is this rect-and-hash prefix plus 4 bytes a pixel;
+/// a kFrameTileRef payload is the prefix alone.
 inline constexpr std::size_t kTileHeaderBytes = 24;
+/// Payload bytes of displaced tiles each end of a connection keeps in its
+/// tile LRU: 384 tiles of a 256x256 session, four frames besides the one
+/// the client shows. One value for every connection, so it is a protocol
+/// constant rather than an option.
+inline constexpr std::size_t kTileCacheBytes = std::size_t{1} << 20;
 /// Upper bound on an OpenSession's processors and on its pipes: each one is
 /// a server thread, so a hostile count must be rejected before the runtime
 /// spawns them.
@@ -86,6 +97,7 @@ enum class MsgType : std::uint8_t {
   kJobError = 69,
   kHealthResp = 70,
   kError = 71,
+  kFrameTileRef = 72,
 };
 
 /// Little-endian append-only serializer.
@@ -257,7 +269,7 @@ struct FrameBeginMsg {
   std::uint64_t content_hash = 0;  ///< Framebuffer::content_hash of the frame
   std::int32_t width = 0;
   std::int32_t height = 0;
-  std::uint32_t tile_count = 0;  ///< kFrameTile messages that follow
+  std::uint32_t tile_count = 0;  ///< kFrameTile/kFrameTileRef messages that follow
   std::uint8_t flags = 0;
   std::int64_t service_seq = 0;
   std::int32_t attempts = 1;
@@ -280,6 +292,24 @@ struct FrameTileMsg {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static FrameTileMsg decode(WireReader& r);
 };
+
+/// A tile the client holds in its tile LRU: the kFrameTile prefix without
+/// the pixels. The client copies the cached payload into `rect`.
+struct FrameTileRefMsg {
+  TileRect rect;
+  std::uint64_t tile_hash = 0;
+
+  /// Also the 24-byte prefix of the kFrameTile with this rect and hash.
+  [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  [[nodiscard]] static FrameTileRefMsg decode(WireReader& r);
+};
+
+/// A pixel block as the bytes that follow a kFrameTile's prefix.
+[[nodiscard]] inline std::span<const std::uint8_t> pixel_bytes(
+    std::span<const float> pixels) {
+  return {reinterpret_cast<const std::uint8_t*>(pixels.data()),
+          pixels.size_bytes()};
+}
 
 /// util::lane_hash over the rect followed by the raw pixel bits.
 [[nodiscard]] std::uint64_t tile_payload_hash(std::int32_t x0, std::int32_t y0,
@@ -337,6 +367,11 @@ struct ErrorMsg {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static ErrorMsg decode(WireReader& r);
 };
+
+/// The 9-byte header of a message with a `payload_len`-byte payload.
+/// Throws ProtocolError above kMaxPayloadBytes.
+[[nodiscard]] std::array<std::uint8_t, kHeaderBytes> message_header(
+    MsgType type, std::size_t payload_len);
 
 /// Prepends the 9-byte header to `payload`.
 [[nodiscard]] std::vector<std::uint8_t> frame_message(

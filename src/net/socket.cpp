@@ -1,10 +1,12 @@
 #include "net/socket.hpp"
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -15,6 +17,10 @@ namespace {
 [[noreturn]] void throw_errno(const std::string& what) {
   throw util::Error(what + ": " + std::strerror(errno));
 }
+
+/// Parts one sendmsg(2) takes; a whole browse frame of references is one
+/// owned part, and a full frame ~200.
+constexpr std::size_t kIovecs = 256;
 
 }  // namespace
 
@@ -29,16 +35,45 @@ Socket& Socket::operator=(Socket&& other) noexcept {
 }
 
 void Socket::send_all(const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (n > 0) {
+  const std::span<const std::uint8_t> part(static_cast<const std::uint8_t*>(data), n);
+  send_all(std::span(&part, 1));
+}
+
+void Socket::send_all(std::span<const std::span<const std::uint8_t>> parts) {
+  std::array<iovec, kIovecs> iov{};
+  std::size_t next = 0;  // first part not yet fully written
+  std::size_t skip = 0;  // bytes of parts[next] already written
+  for (;;) {
+    std::size_t n = 0;
+    for (std::size_t i = next; i < parts.size() && n < iov.size(); ++i) {
+      const std::size_t from = i == next ? skip : 0;
+      if (parts[i].size() == from) continue;
+      iov[n++] = {const_cast<std::uint8_t*>(parts[i].data() + from),
+                  parts[i].size() - from};
+    }
+    if (n == 0) return;
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    msg.msg_iovlen = n;
     // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not SIGPIPE.
-    const ssize_t sent = ::send(fd_, p, n, MSG_NOSIGNAL);
+    const ssize_t sent = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
-      throw_errno("send");
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {  // a non-blocking fd
+        pollfd p{fd_, POLLOUT, 0};
+        (void)::poll(&p, 1, -1);
+        continue;
+      }
+      throw_errno("sendmsg");
     }
-    p += sent;
-    n -= static_cast<std::size_t>(sent);
+    // Skip what went out; a partly written part resumes where it stopped.
+    auto done = static_cast<std::size_t>(sent);
+    while (next < parts.size() && done >= parts[next].size() - skip) {
+      done -= parts[next].size() - skip;
+      skip = 0;
+      ++next;
+    }
+    skip += done;
   }
 }
 
@@ -134,8 +169,46 @@ Socket connect_unix(const std::string& path) {
 
 void send_message(Socket& socket, MsgType type,
                   std::span<const std::uint8_t> payload) {
-  const std::vector<std::uint8_t> framed = frame_message(type, payload);
-  socket.send_all(framed.data(), framed.size());
+  const auto header = message_header(type, payload.size());
+  const std::span<const std::uint8_t> parts[] = {header, payload};
+  socket.send_all(parts);
+}
+
+void MessageBatch::add(MsgType type, std::span<const std::uint8_t> payload,
+                       std::span<const std::uint8_t> tail) {
+  const auto header = message_header(type, payload.size() + tail.size());
+  const std::size_t offset = bytes_.size();
+  bytes_.insert(bytes_.end(), header.begin(), header.end());
+  bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  const std::size_t size = bytes_.size() - offset;
+  // Owned bytes right after owned bytes extend the same part.
+  if (!parts_.empty() && parts_.back().tail.empty()) {
+    parts_.back().size += size;
+  } else {
+    parts_.push_back({offset, size, {}});
+  }
+  if (!tail.empty()) parts_.push_back({0, 0, tail});
+}
+
+void MessageBatch::send(Socket& socket) {
+  // Owned parts become spans only now, when bytes_ no longer moves.
+  spans_.clear();
+  for (const Part& part : parts_) {
+    spans_.push_back(part.tail.empty()
+                         ? std::span<const std::uint8_t>(bytes_.data() + part.offset, part.size)
+                         : part.tail);
+  }
+  const auto empty = [this] {
+    bytes_.clear();
+    parts_.clear();
+  };
+  try {
+    socket.send_all(spans_);
+  } catch (...) {
+    empty();  // no stale tail outlives a failed write
+    throw;
+  }
+  empty();
 }
 
 bool read_message(Socket& socket, MsgType* type,

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +46,10 @@ class Socket {
   /// Blocking write of the whole buffer. Throws util::Error on any socket
   /// error (EPIPE included — callers treat it as the peer going away).
   void send_all(const void* data, std::size_t n);
+  /// Blocking gathered write of `parts`, in order: sendmsg(2) over up to
+  /// 256 parts at a time, resumed where a partial write stopped (a signal,
+  /// or a full buffer on a non-blocking fd, which is polled).
+  void send_all(std::span<const std::span<const std::uint8_t>> parts);
 
   /// Blocking read of exactly `n` bytes. Returns false on clean EOF before
   /// the first byte; throws ProtocolError when the stream ends mid-buffer
@@ -77,10 +82,36 @@ class Socket {
 /// Connects to an AF_UNIX path.
 [[nodiscard]] Socket connect_unix(const std::string& path);
 
-/// Writes one framed protocol message (header + payload) atomically with
-/// respect to this call — callers serialize concurrent senders themselves.
+/// Writes one framed protocol message atomically with respect to this call
+/// — callers serialize concurrent senders themselves. Header and payload go
+/// out as one gathered write, uncopied.
 void send_message(Socket& socket, MsgType type,
                   std::span<const std::uint8_t> payload);
+
+/// Framed messages queued for one gathered write — a whole frame sequence
+/// instead of a write per message, so a peer reading small messages finds
+/// them already there rather than waking once per message. A message's
+/// header and payload are copied into the batch; its tail is referenced
+/// and must stay valid and unchanged until send().
+class MessageBatch {
+ public:
+  void add(MsgType type, std::span<const std::uint8_t> payload,
+           std::span<const std::uint8_t> tail = {});
+  /// Writes every queued message in order and empties the batch, also when
+  /// the write throws.
+  void send(Socket& socket);
+
+ private:
+  /// Owned bytes (bytes_[offset, offset + size)) or a referenced tail.
+  struct Part {
+    std::size_t offset = 0;
+    std::size_t size = 0;
+    std::span<const std::uint8_t> tail;
+  };
+  std::vector<std::uint8_t> bytes_;
+  std::vector<Part> parts_;
+  std::vector<std::span<const std::uint8_t>> spans_;
+};
 
 /// Reads one framed message. Returns false on clean EOF at a message
 /// boundary; throws ProtocolError on bad magic, an oversized declared

@@ -19,11 +19,15 @@
 // in-process engine — the bit-exactness contract the delta encoding rides.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
+#include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -36,6 +40,8 @@
 #include "net/socket.hpp"
 #include "render/framebuffer.hpp"
 #include "util/rng.hpp"
+
+#include <fcntl.h>
 
 namespace {
 
@@ -572,6 +578,41 @@ TEST(NetProtocol, TileEncodedSizeIsHeaderPlusPixels) {
   }
 }
 
+TEST(NetProtocol, TileRefRoundTripsAndRejectsMalformed) {
+  const net::FrameTileRefMsg ref{{8, 16, 4, 2}, 0x0123456789ABCDEFull};
+  const std::vector<std::uint8_t> good = ref.encode();
+  ASSERT_EQ(good.size(), net::kTileHeaderBytes);
+  WireReader r(good);
+  const net::FrameTileRefMsg back = net::FrameTileRefMsg::decode(r);
+  EXPECT_EQ(back.rect, ref.rect);
+  EXPECT_EQ(back.tile_hash, ref.tile_hash);
+
+  // A reference is the full tile's prefix: same rect and hash, same bytes.
+  FrameTileMsg tile;
+  tile.x0 = 8;
+  tile.y0 = 16;
+  tile.width = 4;
+  tile.height = 2;
+  tile.tile_hash = ref.tile_hash;
+  tile.pixels.assign(8, 1.5f);
+  const std::vector<std::uint8_t> full = tile.encode();
+  EXPECT_TRUE(std::equal(good.begin(), good.end(), full.begin()));
+
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    WireReader sr(std::span(good.data(), len));
+    EXPECT_THROW((void)net::FrameTileRefMsg::decode(sr), ProtocolError) << len;
+  }
+  std::vector<std::uint8_t> trailing = good;
+  trailing.push_back(0);
+  WireReader tr(trailing);
+  EXPECT_THROW((void)net::FrameTileRefMsg::decode(tr), ProtocolError);
+  for (const net::TileRect empty : {net::TileRect{0, 0, 0, 4}, net::TileRect{0, 0, 4, -1}}) {
+    const auto payload = net::FrameTileRefMsg{empty, 1}.encode();
+    WireReader er(payload);
+    EXPECT_THROW((void)net::FrameTileRefMsg::decode(er), ProtocolError);
+  }
+}
+
 // ---------------------------------------------------- framing layer ------
 
 /// Little-endian header writer for hostile framing bytes.
@@ -640,6 +681,211 @@ TEST(NetFraming, CleanEofAtBoundaryReturnsFalse) {
   EXPECT_FALSE(net::read_message(b, &type, &payload));
 }
 
+TEST(NetFraming, MultiMebibyteMessageSurvivesPartialWrites) {
+  // Far larger than the socket buffer. The writer is non-blocking, so each
+  // sendmsg takes only what fits — usually stopping inside a part — and
+  // the rest must resume exactly there while a second thread drains the
+  // stream in small reads.
+  std::vector<std::uint8_t> head(1000);
+  std::vector<std::uint8_t> tail((6u << 20) + 13);
+  util::Rng rng(5);
+  for (auto& byte : head) byte = static_cast<std::uint8_t>(rng() & 0xFF);
+  for (auto& byte : tail) byte = static_cast<std::uint8_t>(rng() & 0xFF);
+  std::vector<std::uint8_t> expected = head;
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  expected = net::frame_message(MsgType::kFrameTile, expected);
+
+  auto [a, b] = Socket::pair();
+  ASSERT_EQ(::fcntl(a.fd(), F_SETFL, ::fcntl(a.fd(), F_GETFL) | O_NONBLOCK), 0);
+  std::vector<std::uint8_t> got;
+  std::jthread drain([&b, &got, n = expected.size()] {
+    std::vector<std::uint8_t> chunk(997);
+    while (got.size() < n) {
+      const std::size_t want = std::min(chunk.size(), n - got.size());
+      if (!b.recv_exact(chunk.data(), want)) return;
+      got.insert(got.end(), chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(want));
+    }
+    b.close();  // a writer that sends too much fails with EPIPE, not a hang
+  });
+  net::MessageBatch batch;
+  batch.add(MsgType::kFrameTile, head, tail);  // header + head owned, tail referenced
+  EXPECT_NO_THROW(batch.send(a));
+  drain.join();
+  EXPECT_TRUE(got == expected);
+}
+
+TEST(NetFraming, MessageBatchWritesExactlyTheFramedMessages) {
+  // The server's write path: a tile's prefix is copied, its pixel block
+  // referenced where it lies. With more parts than one sendmsg takes and
+  // more bytes than the socket buffer holds, the batch must still write
+  // exactly frame_message(type, encode()) for every message, in order.
+  std::vector<std::vector<float>> blocks;
+  for (int i = 0; i < 300; ++i) {
+    blocks.emplace_back(static_cast<std::size_t>(200 + i), static_cast<float>(i) * 0.25f);
+  }
+  net::MessageBatch batch;
+  std::vector<std::uint8_t> expected;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const std::vector<float>& pixels = blocks[i];
+    const net::FrameTileRefMsg prefix{{0, 0, static_cast<int>(pixels.size()), 1}, i};
+    FrameTileMsg full;
+    full.width = static_cast<int>(pixels.size());
+    full.height = 1;
+    full.tile_hash = i;
+    full.pixels = pixels;
+    if (i % 3 == 0) {
+      batch.add(MsgType::kFrameTileRef, prefix.encode());
+      const auto framed = net::frame_message(MsgType::kFrameTileRef, prefix.encode());
+      expected.insert(expected.end(), framed.begin(), framed.end());
+    } else {
+      batch.add(MsgType::kFrameTile, prefix.encode(), net::pixel_bytes(pixels));
+      const auto framed = net::frame_message(MsgType::kFrameTile, full.encode());
+      expected.insert(expected.end(), framed.begin(), framed.end());
+    }
+  }
+  batch.add(MsgType::kFrameEnd, FrameEndMsg{.client_tag = 5}.encode());
+  const auto end = net::frame_message(MsgType::kFrameEnd, FrameEndMsg{.client_tag = 5}.encode());
+  expected.insert(expected.end(), end.begin(), end.end());
+  ASSERT_GT(expected.size(), std::size_t{1} << 18);
+
+  auto [a, b] = Socket::pair();
+  std::vector<std::uint8_t> got(expected.size());
+  std::jthread drain([&b, &got] { ASSERT_TRUE(b.recv_exact(got.data(), got.size())); });
+  batch.send(a);
+  drain.join();
+  EXPECT_TRUE(got == expected);
+
+  // The batch is empty again: a second send writes only the new message.
+  batch.add(MsgType::kFrameEnd, FrameEndMsg{.client_tag = 6}.encode());
+  batch.send(a);
+  MsgType type{};
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(net::read_message(b, &type, &payload));
+  EXPECT_EQ(type, MsgType::kFrameEnd);
+}
+
+// ------------------------------------------------------ tile LRU ---------
+
+/// A client's screen for TileLru tests: one value per rect, saved and put
+/// back the way FrameClient::apply_tile does with pixels.
+template <typename Payload>
+struct Screen {
+  explicit Screen(net::TileLru<Payload>& cache) : lru(cache) {}
+
+  net::TileLru<Payload>& lru;
+  std::map<net::TileRect, Payload> shown;
+  int saves = 0;
+
+  /// Delivers `payload` under `hash` at `rect` — by reference when
+  /// `by_ref`, when the LRU must supply it. Returns whether it was held.
+  bool show(const net::TileRect& rect, std::uint64_t hash, const Payload& payload, bool by_ref) {
+    Payload& on_screen = shown[rect];
+    const bool hit = lru.deliver(rect, hash, [&](Payload& buffer) {
+      ++saves;
+      if (by_ref) {
+        std::swap(buffer, on_screen);
+      } else {
+        buffer = on_screen;
+      }
+    });
+    if (!by_ref) on_screen = payload;
+    return hit;
+  }
+};
+
+TEST(TileLru, DisplacedTilesHitOnceAndEvictByBytes) {
+  const net::TileRect left{0, 0, 4, 4};   // 64 payload bytes
+  const net::TileRect right{4, 0, 4, 4};  // 64 payload bytes
+  net::TileLru<int> lru(128);
+  Screen<int> screen(lru);
+
+  // The first delivery at a rect displaces nothing.
+  EXPECT_FALSE(screen.show(left, 1, 1, false));
+  EXPECT_EQ(lru.size(), 0u);
+  ASSERT_NE(lru.shown(left), nullptr);
+  EXPECT_EQ(*lru.shown(left), 1u);
+  // The second displaces tile 1, under the hash it arrived with.
+  EXPECT_FALSE(screen.show(left, 2, 2, false));
+  ASSERT_NE(lru.find(1), nullptr);
+  EXPECT_EQ(*lru.find(1), left);
+  EXPECT_EQ(lru.find(2), nullptr);  // the framebuffer's tile is not cached
+  EXPECT_EQ(lru.bytes(), 64u);
+
+  // A hit trades places with the tile it displaces: 1 is back on screen,
+  // out of the LRU, and 2 is cached in its buffer.
+  EXPECT_TRUE(screen.show(left, 1, 0, true));
+  EXPECT_EQ(screen.shown[left], 1);
+  EXPECT_EQ(lru.find(1), nullptr);
+  ASSERT_NE(lru.find(2), nullptr);
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_TRUE(screen.show(left, 2, 0, true));
+  EXPECT_EQ(screen.shown[left], 2);
+
+  // Fill to the budget, then one more: the least recently displaced goes.
+  (void)screen.show(right, 10, 10, false);
+  (void)screen.show(right, 11, 11, false);  // displaces 10: 128 bytes held
+  EXPECT_EQ(lru.bytes(), 128u);
+  EXPECT_EQ(lru.evictions(), 0);
+  (void)screen.show(left, 3, 3, false);  // displaces 2: 1 is the oldest
+  EXPECT_EQ(lru.bytes(), 128u);
+  EXPECT_EQ(lru.evictions(), 1);
+  EXPECT_EQ(lru.find(1), nullptr);
+  EXPECT_NE(lru.find(10), nullptr);
+  EXPECT_NE(lru.find(2), nullptr);
+
+  // A tile larger than the budget is never cached, and costs no eviction.
+  const net::TileRect big{0, 4, 8, 8};  // 256 bytes
+  const int saves = screen.saves;
+  (void)screen.show(big, 20, 20, false);
+  (void)screen.show(big, 21, 21, false);
+  EXPECT_EQ(lru.find(20), nullptr);
+  EXPECT_EQ(screen.saves, saves);
+  EXPECT_EQ(lru.evictions(), 1);
+}
+
+TEST(TileLru, TwoInstancesFedTheSameStreamDecideAlike) {
+  // The server's key-only mirror decides "reference or full" by lookup; the
+  // client applies the same stream with payloads. Fed the same (rect, hash)
+  // sequence they must agree on every decision, evictions included, and
+  // every reference must put back the payload displaced under its hash.
+  constexpr std::size_t kBudget = 40 * 64;
+  std::vector<net::TileRect> rects;
+  for (int i = 0; i < 12; ++i) rects.push_back({i * 8, 0, 4 + i % 3, 4});  // 64-96 bytes
+  net::TileLru<net::NoPayload> server(kBudget);
+  net::TileLru<std::vector<float>> client(kBudget);
+  Screen<std::vector<float>> screen(client);
+  util::Rng rng(11);
+  int hits = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const net::TileRect& rect = rects[rng() % rects.size()];
+    // A small pool of contents per rect, so tiles come back; the hash
+    // binds rect and content as tile_payload_hash does.
+    const std::uint64_t hash = (static_cast<std::uint64_t>(rect.x0) << 32) | (1 + rng() % 9);
+    const std::uint64_t* shown = server.shown(rect);
+    if (shown != nullptr && *shown == hash) continue;  // unchanged: not sent
+
+    const net::TileRect* held = server.find(hash);
+    const bool by_ref = held != nullptr && *held == rect;
+    (void)server.deliver(rect, hash, [](net::NoPayload&) {});
+    if (by_ref) {
+      ASSERT_NE(client.find(hash), nullptr) << "step " << step;
+      ASSERT_EQ(*client.find(hash), rect);
+    } else {
+      ASSERT_EQ(client.find(hash), nullptr) << "step " << step;
+    }
+    const std::vector<float> content{static_cast<float>(hash)};
+    ASSERT_EQ(screen.show(rect, hash, content, by_ref), by_ref);
+    ASSERT_EQ(screen.shown[rect], content) << "step " << step;
+    hits += by_ref ? 1 : 0;
+    ASSERT_EQ(server.size(), client.size());
+    ASSERT_EQ(server.bytes(), client.bytes());
+    ASSERT_LE(client.bytes(), kBudget);
+    ASSERT_EQ(server.evictions(), client.evictions());
+  }
+  EXPECT_GT(hits, 1000);
+  EXPECT_GT(client.evictions(), 1000);
+}
+
 // ------------------------------------------- client verification ---------
 //
 // A scripted fake server over Socket::pair(). Replies are pre-written into
@@ -662,6 +908,10 @@ struct FakeServer {
 
   void send(MsgType type, std::span<const std::uint8_t> payload) {
     net::send_message(socket, type, payload);
+  }
+
+  void send_raw(const std::vector<std::uint8_t>& bytes) {
+    socket.send_all(bytes.data(), bytes.size());
   }
 
  private:
@@ -809,6 +1059,256 @@ TEST(NetClient, RejectsTileOutsideFramebuffer) {
   }
 }
 
+/// A frame's Begin for a delta (not kFlagFull) of `tiles` tile messages.
+FrameBeginMsg delta_begin(std::uint64_t tag, int w, int h, std::size_t tiles,
+                          std::uint64_t content_hash) {
+  FrameBeginMsg begin;
+  begin.client_tag = tag;
+  begin.job_id = 100 + static_cast<std::int64_t>(tag);
+  begin.content_hash = content_hash;
+  begin.width = w;
+  begin.height = h;
+  begin.tile_count = static_cast<std::uint32_t>(tiles);
+  return begin;
+}
+
+net::FrameTileRefMsg ref_to(const FrameTileMsg& tile) {
+  return {{tile.x0, tile.y0, tile.width, tile.height}, tile.tile_hash};
+}
+
+/// Appends one framed message to a scripted byte stream.
+void append(std::vector<std::uint8_t>& stream, MsgType type,
+            std::span<const std::uint8_t> payload) {
+  const std::vector<std::uint8_t> framed = net::frame_message(type, payload);
+  stream.insert(stream.end(), framed.begin(), framed.end());
+}
+
+/// Frame 1 (`first`, full) and frame 2 (`second`, a delta over the same
+/// rects), each with its ack: afterwards the client's LRU holds every tile
+/// of `first`.
+std::vector<std::uint8_t> two_frames(const std::vector<FrameTileMsg>& first,
+                                     const std::vector<FrameTileMsg>& second) {
+  std::vector<std::uint8_t> stream;
+  for (std::uint64_t tag = 1; tag <= 2; ++tag) {
+    const auto& tiles = tag == 1 ? first : second;
+    append(stream, MsgType::kSubmitAck, SubmitAckMsg{.client_tag = tag, .job_id = 0}.encode());
+    FrameBeginMsg begin = delta_begin(tag, 8, 8, tiles.size(),
+                                      expected_fb(8, 8, tiles).content_hash());
+    if (tag == 1) begin.flags = FrameBeginMsg::kFlagFull;
+    append(stream, MsgType::kFrameBegin, begin.encode());
+    for (const auto& tile : tiles) append(stream, MsgType::kFrameTile, tile.encode());
+    append(stream, MsgType::kFrameEnd, FrameEndMsg{.client_tag = tag}.encode());
+  }
+  return stream;
+}
+
+TEST(NetClient, ReferenceFrameCostsItsHeadersAnd33BytesATile) {
+  FakeServer fake;
+  fake.open(8, 8);
+  const std::vector<FrameTileMsg> first = {make_tile(0, 0, 8, 4, 1.0f),
+                                           make_tile(0, 4, 8, 4, -3.0f)};
+  const std::vector<FrameTileMsg> second = {make_tile(0, 0, 8, 4, 7.0f),
+                                            make_tile(0, 4, 8, 4, 9.0f)};
+  fake.send_raw(two_frames(first, second));
+  // Frame 3 goes back to frame 1 by reference alone.
+  const render::Framebuffer expected = expected_fb(8, 8, first);
+  const auto begin = delta_begin(3, 8, 8, first.size(), expected.content_hash()).encode();
+  fake.send(MsgType::kSubmitAck, SubmitAckMsg{.client_tag = 3, .job_id = 0}.encode());
+  fake.send(MsgType::kFrameBegin, begin);
+  for (const auto& tile : first) fake.send(MsgType::kFrameTileRef, ref_to(tile).encode());
+  fake.send(MsgType::kFrameEnd, FrameEndMsg{.client_tag = 3}.encode());
+
+  for (int i = 0; i < 3; ++i) (void)fake.client.submit({}, plain_submit());
+  EXPECT_EQ(fake.client.await_frame().tiles_by_ref, 0);
+  EXPECT_EQ(fake.client.await_frame().tiles_by_ref, 0);
+  const FrameClient::FrameResult third = fake.client.await_frame();
+  EXPECT_EQ(third.tiles, 2);
+  EXPECT_EQ(third.tiles_by_ref, 2);
+  EXPECT_EQ(third.wire_bytes, 9 + begin.size() + 2 * 33 + 9 + 8);
+  EXPECT_TRUE(fake.client.framebuffer() == expected);
+}
+
+TEST(NetClient, RejectsBadTileReferences) {
+  const std::vector<FrameTileMsg> first = {make_tile(0, 0, 8, 4, 1.0f),
+                                           make_tile(0, 4, 8, 4, -3.0f)};
+  const std::vector<FrameTileMsg> second = {make_tile(0, 0, 8, 4, 7.0f),
+                                            make_tile(0, 4, 8, 4, 9.0f)};
+  net::FrameTileRefMsg unknown = ref_to(first[0]);
+  unknown.tile_hash ^= 1;
+  net::FrameTileRefMsg moved = ref_to(first[0]);
+  moved.rect = ref_to(first[1]).rect;  // a held hash, but the other rect
+  for (const auto& [what, ref] : {std::pair{"unknown hash", unknown},
+                                  std::pair{"mismatched rect", moved}}) {
+    SCOPED_TRACE(what);
+    FakeServer fake;
+    fake.open(8, 8);
+    fake.send_raw(two_frames(first, second));
+    fake.send(MsgType::kSubmitAck, SubmitAckMsg{.client_tag = 3, .job_id = 0}.encode());
+    fake.send(MsgType::kFrameBegin,
+              delta_begin(3, 8, 8, 1, expected_fb(8, 8, first).content_hash()).encode());
+    fake.send(MsgType::kFrameTileRef, ref.encode());
+    fake.send(MsgType::kFrameEnd, FrameEndMsg{.client_tag = 3}.encode());
+    for (int i = 0; i < 3; ++i) (void)fake.client.submit({}, plain_submit());
+    (void)fake.client.await_frame();
+    (void)fake.client.await_frame();
+    EXPECT_THROW((void)fake.client.await_frame(), ProtocolError);
+  }
+  {
+    // A held hash and its own rect, but inside a kFlagFull frame, which
+    // by definition carries every tile in full.
+    SCOPED_TRACE("reference inside a full frame");
+    FakeServer fake;
+    fake.open(8, 8);
+    fake.send_raw(two_frames(first, second));
+    FrameBeginMsg begin = delta_begin(3, 8, 8, 2, expected_fb(8, 8, first).content_hash());
+    begin.flags = FrameBeginMsg::kFlagFull;
+    fake.send(MsgType::kSubmitAck, SubmitAckMsg{.client_tag = 3, .job_id = 0}.encode());
+    fake.send(MsgType::kFrameBegin, begin.encode());
+    for (const auto& tile : first) fake.send(MsgType::kFrameTileRef, ref_to(tile).encode());
+    fake.send(MsgType::kFrameEnd, FrameEndMsg{.client_tag = 3}.encode());
+    for (int i = 0; i < 3; ++i) (void)fake.client.submit({}, plain_submit());
+    (void)fake.client.await_frame();
+    (void)fake.client.await_frame();
+    EXPECT_THROW((void)fake.client.await_frame(), ProtocolError);
+  }
+}
+
+// ------------------------------------------------- decoder fuzzing -------
+//
+// Seeded mutations of valid encodings: bit flips, truncation, extension
+// with random bytes, and combinations. Every input must decode or throw
+// ProtocolError — anything else (another exception, an out-of-bounds read
+// under the ASan build, a hang) is a decoder bug.
+
+std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> bytes, util::Rng& rng) {
+  const auto kind = rng() % 4;
+  if (kind != 1 && !bytes.empty()) {  // flip 1-4 bits
+    const auto flips = 1 + rng() % 4;
+    for (std::uint64_t i = 0; i < flips; ++i) {
+      bytes[rng() % bytes.size()] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+    }
+  }
+  if (kind == 1 || kind == 3) {  // truncate
+    bytes.resize(bytes.empty() ? 0 : rng() % bytes.size());
+  }
+  if (kind == 2 || (kind == 3 && rng() % 2 == 0)) {  // extend
+    const auto extra = 1 + rng() % 16;
+    for (std::uint64_t i = 0; i < extra; ++i) bytes.push_back(static_cast<std::uint8_t>(rng()));
+  }
+  return bytes;
+}
+
+TEST(NetFuzz, DecodersAcceptOrRejectMutatedEncodings) {
+  net::OpenSessionMsg bent = small_session();
+  bent.synthesis.kind = core::SpotKind::kBent;
+  bent.synthesis.window = field::Rect{0.1, 0.2, 0.9, 0.8};
+  net::SubmitMsg submit;
+  submit.client_tag = 9;
+  submit.spots = test_spots(small_config(), vortex_spec().domain);
+  submit.spots.resize(5);
+  const FrameTileMsg tile = make_tile(2, 3, 3, 2, 0.25f);
+  WireWriter field;
+  vortex_spec().encode(field);
+
+  using Decode = std::function<void(WireReader&)>;
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> seed;
+    Decode decode;
+  };
+  const std::vector<Case> cases = {
+      {"FieldSpec", field.data(), [](WireReader& r) { (void)FieldSpec::decode(r); }},
+      {"OpenSession", small_session().encode(),
+       [](WireReader& r) { (void)net::OpenSessionMsg::decode(r); }},
+      {"OpenSession(bent)", bent.encode(),
+       [](WireReader& r) { (void)net::OpenSessionMsg::decode(r); }},
+      {"Submit", submit.encode(), [](WireReader& r) { (void)net::SubmitMsg::decode(r); }},
+      {"Cancel", net::CancelMsg{.job_id = 3}.encode(),
+       [](WireReader& r) { (void)net::CancelMsg::decode(r); }},
+      {"SessionOpened", net::SessionOpenedMsg{.session_id = 1, .width = 8, .height = 8}.encode(),
+       [](WireReader& r) { (void)net::SessionOpenedMsg::decode(r); }},
+      {"SubmitAck", SubmitAckMsg{.client_tag = 1, .job_id = 2}.encode(),
+       [](WireReader& r) { (void)SubmitAckMsg::decode(r); }},
+      {"FrameBegin", begin_for(1, 8, 8, {tile}, 77).encode(),
+       [](WireReader& r) { (void)FrameBeginMsg::decode(r); }},
+      {"FrameTile", tile.encode(), [](WireReader& r) { (void)FrameTileMsg::decode(r); }},
+      {"FrameTileRef", ref_to(tile).encode(),
+       [](WireReader& r) { (void)net::FrameTileRefMsg::decode(r); }},
+      {"FrameEnd", FrameEndMsg{.client_tag = 4}.encode(),
+       [](WireReader& r) { (void)FrameEndMsg::decode(r); }},
+      {"JobError", net::JobErrorMsg{.client_tag = 1, .code = 2, .message = "late"}.encode(),
+       [](WireReader& r) { (void)net::JobErrorMsg::decode(r); }},
+      {"HealthResp", net::HealthRespMsg{.completed = 5, .open_sessions = 1}.encode(),
+       [](WireReader& r) { (void)net::HealthRespMsg::decode(r); }},
+      {"Error", net::ErrorMsg{.message = "boom"}.encode(),
+       [](WireReader& r) { (void)net::ErrorMsg::decode(r); }},
+  };
+  util::Rng rng(2024);
+  for (const Case& c : cases) {
+    int rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const std::vector<std::uint8_t> input = mutate(c.seed, rng);
+      WireReader r(input);
+      try {
+        c.decode(r);
+      } catch (const ProtocolError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << c.name << " input " << i << " threw " << e.what();
+      }
+    }
+    EXPECT_GT(rejected, 0) << c.name;  // the mutations reach the checks
+  }
+}
+
+TEST(NetFuzz, ClientSurvivesMutatedFrameSequences) {
+  // Three scripted frames — full, delta, by reference — as one byte
+  // stream, mutated and fed to a fresh client. Each frame must verify or
+  // the client must throw one of its documented errors.
+  const std::vector<FrameTileMsg> first = {make_tile(0, 0, 8, 4, 1.0f),
+                                           make_tile(0, 4, 8, 4, -3.0f)};
+  const std::vector<FrameTileMsg> second = {make_tile(0, 0, 8, 4, 7.0f),
+                                            make_tile(0, 4, 8, 4, 9.0f)};
+  std::vector<std::uint8_t> stream = two_frames(first, second);
+  append(stream, MsgType::kFrameBegin,
+         delta_begin(3, 8, 8, 2, expected_fb(8, 8, first).content_hash()).encode());
+  for (const auto& tile : first) append(stream, MsgType::kFrameTileRef, ref_to(tile).encode());
+  append(stream, MsgType::kFrameEnd, FrameEndMsg{.client_tag = 3}.encode());
+
+  util::Rng rng(77);
+  int verified = 0;
+  int rejected = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::vector<std::uint8_t> input = i == 0 ? stream : mutate(stream, rng);
+    FakeServer fake;
+    fake.open(8, 8);
+    fake.send_raw(input);
+    fake.socket.shutdown_write();
+    try {
+      for (int f = 0; f < 3; ++f) {
+        (void)fake.client.submit({}, plain_submit());
+        (void)fake.client.await_frame();
+        ++verified;
+      }
+    } catch (const ProtocolError&) {
+      ++rejected;
+    } catch (const net::ConnectionClosed&) {
+      ++rejected;
+    } catch (const net::ServerJobError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      const std::string what = e.what();
+      if (what.rfind("server error: ", 0) == 0) {
+        ++rejected;
+      } else {
+        ADD_FAILURE() << "input " << i << " threw " << what;
+      }
+    }
+  }
+  EXPECT_GE(verified, 3);  // the unmutated stream
+  EXPECT_GT(rejected, 100);
+}
+
 // --------------------------------------------------- loopback layer ------
 
 TEST(NetLoopback, FirstFrameMatchesInProcessEngineBitwise) {
@@ -953,6 +1453,102 @@ TEST(NetLoopback, DegradedFrameShipsOnlyChangedTiles) {
   solo.synthesize(*field, spots);
   EXPECT_EQ(clean.content_hash, solo.texture().content_hash());
   EXPECT_TRUE(client.framebuffer() == solo.texture());
+  server.stop();
+}
+
+TEST(NetLoopback, ScrubbedSeriesShipsRevisitsByReference) {
+  // Scrub a six-frame series back and forth, as a browsing client does.
+  // The series fits the tile budget, so once every frame has been shown,
+  // every changed tile travels as a reference — and every frame verifies.
+  core::SynthesisConfig config = small_config();
+  config.texture_width = 128;
+  config.texture_height = 128;
+  const auto dnc = small_dnc();
+  const FieldSpec spec = vortex_spec();
+  std::vector<std::vector<core::SpotInstance>> series;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    series.push_back(test_spots(small_config(seed), spec.domain));
+  }
+
+  FrameServer server(loopback_options());
+  auto [client_end, server_end] = Socket::pair();
+  server.adopt(std::move(server_end));
+  FrameClient client(std::move(client_end));
+  (void)client.open_session(spec, config, dnc);
+
+  util::Rng rng(3);
+  std::size_t at = 0;
+  std::uint64_t full_bytes = 0;
+  int by_ref = 0;
+  for (int step = 0; step < 200; ++step) {
+    if (step > 0 && step < 6) {
+      at = static_cast<std::size_t>(step);  // first visits
+    } else if (step >= 6) {
+      at = at == 0 ? 1 : at == 5 ? 4 : (rng() % 2 == 0 ? at - 1 : at + 1);
+    }
+    (void)client.submit(series[at], plain_submit());
+    const auto frame = client.await_frame();  // throws unless verified
+    if (step == 0) {
+      ASSERT_TRUE(frame.full);
+      full_bytes = frame.wire_bytes;
+    } else if (step >= 6) {
+      SCOPED_TRACE(testing::Message() << "step " << step << ", frame " << at);
+      EXPECT_GT(frame.tiles, 0);
+      EXPECT_EQ(frame.tiles_by_ref, frame.tiles);
+      EXPECT_LE(frame.wire_bytes * 10, full_bytes);
+      by_ref += frame.tiles_by_ref;
+    } else {
+      EXPECT_EQ(frame.tiles_by_ref, 0);  // never shown before
+    }
+  }
+  EXPECT_GT(by_ref, 0);
+
+  core::DncSynthesizer solo(config, dnc);
+  solo.synthesize(*spec.make_field(), series[at]);
+  EXPECT_TRUE(client.framebuffer() == solo.texture());
+  server.stop();
+}
+
+TEST(NetLoopback, SeriesLongerThanTheBudgetEvictsInLockstep) {
+  // Eight 256x256 frames are 2 MiB of tiles, twice the budget: the LRU
+  // holds the four frames shown last besides the framebuffer. Walking out
+  // and back, the four most recent frames come back by reference and the
+  // older ones, evicted on both ends alike, ship in full.
+  core::SynthesisConfig config = small_config();
+  config.texture_width = 256;
+  config.texture_height = 256;
+  config.spot_count = 2000;
+  const auto dnc = small_dnc();
+  const FieldSpec spec = vortex_spec();
+  std::vector<std::vector<core::SpotInstance>> series;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    core::SynthesisConfig c = config;
+    c.seed = seed;
+    series.push_back(test_spots(c, spec.domain));
+  }
+
+  FrameServer server(loopback_options());
+  auto [client_end, server_end] = Socket::pair();
+  server.adopt(std::move(server_end));
+  FrameClient client(std::move(client_end));
+  (void)client.open_session(spec, config, dnc);
+
+  const auto show = [&](std::size_t i) {
+    (void)client.submit(series[i], plain_submit());
+    return client.await_frame();  // throws unless verified
+  };
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(show(i).tiles_by_ref, 0) << i;
+  for (std::size_t i = 7; i-- > 0;) {
+    SCOPED_TRACE(testing::Message() << "back to frame " << i);
+    const auto frame = show(i);
+    EXPECT_GT(frame.tiles, 0);
+    if (i >= 3) {
+      EXPECT_EQ(frame.tiles_by_ref, frame.tiles);
+    } else {
+      EXPECT_LT(frame.tiles_by_ref, frame.tiles);
+    }
+  }
+  for (std::size_t i = 1; i < 8; ++i) (void)show(i);  // and out again
   server.stop();
 }
 
