@@ -309,10 +309,11 @@ fi
 # The scheduler's cross-group stealing, the shared runtime/service, the
 # engine's seam-spot fan-out (DncSynthesizer.SeamSpotsTracedOncePerFrame in
 # test_synthesizers, incremental frames in test_incremental), and the
-# pipe/queue machinery are the code where a data race would hide; run exactly
-# those suites instrumented. gtest discovery re-runs each binary, so build
-# only what we need.
-TSAN_SUITES=(test_scheduling test_synthesizers test_incremental test_service test_pipe test_tile_store test_util test_faults test_net test_simd test_determinism)
+# pipe/queue machinery are the code where a data race would hide, and the
+# fork-join loops (Runtime::fork_join: the solvers, particles, filters and
+# LIC) share the same pool; run exactly those suites instrumented. gtest
+# discovery re-runs each binary, so build only what we need.
+TSAN_SUITES=(test_scheduling test_synthesizers test_incremental test_service test_pipe test_tile_store test_util test_faults test_net test_simd test_determinism test_sim test_particles test_filters_perf test_extensions test_parallel)
 tsan_gate() {
   echo "== ThreadSanitizer pass (build-tsan) =="
   cmake --preset tsan

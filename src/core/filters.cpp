@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "render/image.hpp"
 #include "util/error.hpp"
 
@@ -35,13 +36,18 @@ void blur_rows(util::Span2D<const float> src, util::Span2D<float> dst, int radiu
 }
 
 // Transpose so the vertical pass can reuse blur_rows on contiguous rows.
+// Each participant writes whole output rows, so no two share a cache line
+// but at a range's ends. The high-pass subtraction and the contrast
+// normalization stay plain loops: they stream memory at one add or
+// multiply per pixel, and bench_micro shows no gain from the pool there.
 render::Framebuffer transpose(const render::Framebuffer& src) {
   render::Framebuffer dst(src.height(), src.width());
   const auto in = src.pixels();
   auto out = dst.pixels();
-#pragma omp parallel for schedule(static)
-  for (int y = 0; y < in.height(); ++y)
-    for (int x = 0; x < in.width(); ++x) out(y, x) = in(x, y);
+  parallel_for(out.height(), [&](std::int64_t y0, std::int64_t y1) {
+    for (auto y = static_cast<int>(y0); y < y1; ++y)
+      for (int x = 0; x < out.width(); ++x) out(x, y) = in(y, x);
+  });
   return dst;
 }
 
@@ -64,7 +70,6 @@ render::Framebuffer high_pass(const render::Framebuffer& texture, int radius) {
   const auto in = texture.pixels();
   const auto lo = low.pixels();
   auto dst = out.pixels();
-#pragma omp parallel for schedule(static)
   for (int y = 0; y < in.height(); ++y)
     for (int x = 0; x < in.width(); ++x) dst(x, y) = in(x, y) - lo(x, y);
   return out;
@@ -78,7 +83,6 @@ void normalize_contrast(render::Framebuffer& texture, double sigmas) {
   const auto scale = static_cast<float>(1.0 / (sigmas * sigma));
   const auto offset = static_cast<float>(mean);
   auto px = texture.pixels();
-#pragma omp parallel for schedule(static)
   for (int y = 0; y < px.height(); ++y)
     for (int x = 0; x < px.width(); ++x) px(x, y) = (px(x, y) - offset) * scale;
 }
@@ -102,13 +106,14 @@ void equalize_histogram(render::Framebuffer& texture) {
     acc += static_cast<double>(histogram[static_cast<std::size_t>(b)]);
     cdf[static_cast<std::size_t>(b)] = acc / total;
   }
-#pragma omp parallel for schedule(static)
-  for (int y = 0; y < px.height(); ++y)
-    for (int x = 0; x < px.width(); ++x) {
-      const int bin = static_cast<int>((px(x, y) - lo) * scale);
-      const double c = cdf[static_cast<std::size_t>(std::clamp(bin, 0, kBins - 1))];
-      px(x, y) = static_cast<float>(c * 2.0 - 1.0);
-    }
+  parallel_for(px.height(), [&](std::int64_t y0, std::int64_t y1) {
+    for (auto y = static_cast<int>(y0); y < y1; ++y)
+      for (int x = 0; x < px.width(); ++x) {
+        const int bin = static_cast<int>((px(x, y) - lo) * scale);
+        const double c = cdf[static_cast<std::size_t>(std::clamp(bin, 0, kBins - 1))];
+        px(x, y) = static_cast<float>(c * 2.0 - 1.0);
+      }
+  });
 }
 
 }  // namespace dcsn::core

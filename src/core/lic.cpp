@@ -1,10 +1,9 @@
 #include "core/lic.hpp"
 
-#include "util/omp_compat.hpp"
-
 #include <algorithm>
 #include <cmath>
 
+#include "core/runtime.hpp"
 #include "render/overlay.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -41,12 +40,8 @@ render::Framebuffer lic(const field::VectorField& f,
     return noise_px(x, y);
   };
 
-  // [[maybe_unused]]: without -fopenmp the pragma below is discarded and
-  // this would otherwise be the TU's only use.
-  [[maybe_unused]] const int threads =
-      config.threads > 0 ? config.threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic, 4) num_threads(threads)
-  for (int y = 0; y < config.height; ++y) {
+  // Pixels are independent, so rows may run in any order on any thread.
+  auto convolve_row = [&](int y) {
     for (int x = 0; x < config.width; ++x) {
       double sum = sample_noise(x + 0.5, y + 0.5);
       int taps = 1;
@@ -73,7 +68,13 @@ render::Framebuffer lic(const field::VectorField& f,
       }
       out_px(x, y) = static_cast<float>(sum / taps);
     }
-  }
+  };
+  parallel_for(
+      config.height,
+      [&](std::int64_t y0, std::int64_t y1) {
+        for (auto y = static_cast<int>(y0); y < y1; ++y) convolve_row(y);
+      },
+      config.threads);
   return out;
 }
 

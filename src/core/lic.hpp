@@ -6,8 +6,8 @@
 // which is what made the divide-and-conquer parallelization natural), LIC
 // is *image order*: each output pixel convolves an input noise texture
 // along the streamline through that pixel. Pixels are independent, so LIC
-// parallelizes trivially over rows with OpenMP; the comparison bench puts
-// the two approaches' cost structures side by side.
+// parallelizes trivially over rows on the runtime's pool; the comparison
+// bench puts the two approaches' cost structures side by side.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,8 @@ struct LicConfig {
   /// Integration step along the streamline, in output pixels.
   double step_px = 1.0;
   std::uint64_t noise_seed = 42;
-  int threads = 0;  ///< 0 = all available
+  /// Participant cap of the row loop (0 = one per hardware thread).
+  int threads = 0;
 };
 
 /// White-noise input texture for LIC (one value per output pixel).

@@ -1,9 +1,13 @@
 #include "core/runtime.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <exception>
+#include <limits>
 #include <string>
 
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 #include "util/threading.hpp"
 
 namespace dcsn::core {
@@ -13,6 +17,144 @@ namespace {
 /// Released pipes retained per behavioral configuration; extras are torn
 /// down on release.
 constexpr std::size_t kMaxIdlePipes = 16;
+
+/// How long a worker that just served a fork-join loop, or a caller waiting
+/// for a loop's participants, spins before it parks. It bridges the gap
+/// between back-to-back loops (a DNS step opens 164) and is short enough
+/// that an idle process stops spending CPU within a fraction of a
+/// millisecond.
+constexpr double kSpinBeforeParkSeconds = 50e-6;
+
+/// Spins until `done()` holds or kSpinBeforeParkSeconds elapse; returns
+/// done().
+template <class Done>
+bool spin_until(Done done) {
+  const util::Stopwatch spinning;
+  for (unsigned k = 1;; ++k) {
+    if (done()) return true;
+    if (k % 64 == 0 && spinning.seconds() >= kSpinBeforeParkSeconds) return false;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+}
+
+/// The pool index of the calling worker thread; -1 on other threads.
+thread_local int t_worker_index = -1;
+
+// One fork_join call as a registered job. The range is split into one
+// block per participant: each participant claims chunks from its home
+// block first and then from the others, so a loop repeated over the same
+// data (a solver's sweeps) finds each block in the cache of the thread
+// that touched it last, while a participant that never comes still gets
+// its block done. Heap-owned because pool workers may call serve() from a
+// stale registry snapshot after the call returned — a closed job refuses
+// the join before it touches the caller's body.
+class ForkJoin final : public Runtime::SharedJob {
+ public:
+  ForkJoin(std::int64_t n, std::int64_t chunk, int max_participants,
+           const Runtime::LoopBody& body)
+      : body_(body), max_participants_(max_participants) {
+    for (int b = 0; b < max_participants; ++b) {
+      const std::int64_t first = n * b / max_participants;
+      const std::int64_t last = n * (b + 1) / max_participants;
+      blocks_.emplace_back(first, last - first, chunk);
+    }
+  }
+
+  bool serve() override {
+    if (drained() || failed_.load(std::memory_order_relaxed)) return false;
+    // Enter before taking a slot, and close before counting who is inside
+    // (finish): with both sides sequentially consistent, either this join
+    // sees the job closed or the caller waits for it to leave.
+    active_.fetch_add(1, std::memory_order_seq_cst);
+    int slot = joined_.load(std::memory_order_seq_cst);
+    bool joined = false;
+    while (!joined && slot < max_participants_) {
+      joined = joined_.compare_exchange_weak(slot, slot + 1, std::memory_order_seq_cst);
+    }
+    // Worker w's home block is the same in every loop; block 0 is the
+    // caller's.
+    const int home = 1 + t_worker_index % (max_participants_ - 1);
+    const bool worked = joined && run(slot, home);
+    leave();
+    return worked;
+  }
+
+  [[nodiscard]] bool keep_warm() const override { return true; }
+
+  /// Claims ranges for `slot`, home block first, until none is left or a
+  /// participant failed.
+  bool run(int slot, int home) {
+    bool worked = false;
+    try {
+      for (int k = 0; k < max_participants_; ++k) {
+        Block& block = blocks_[static_cast<std::size_t>((home + k) % max_participants_)];
+        while (!failed_.load(std::memory_order_relaxed)) {
+          // The owner eats its block from the front, helpers from the back.
+          const auto range = k == 0 ? block.counter.claim()
+                                    : block.counter.steal(block.counter.chunk());
+          if (range.empty()) break;
+          worked = true;
+          body_(slot, block.first + range.begin, block.first + range.end);
+        }
+      }
+    } catch (...) {
+      util::MutexLock lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+      failed_.store(true, std::memory_order_relaxed);
+    }
+    return worked;
+  }
+
+  /// The caller's side, after its own run(0, 0): closes the job against
+  /// late joins, leaves, waits until every worker has left and returns the
+  /// first error.
+  std::exception_ptr finish() {
+    joined_.store(kClosed, std::memory_order_seq_cst);
+    active_.fetch_sub(1, std::memory_order_seq_cst);
+    (void)spin_until([&] { return active_.load(std::memory_order_seq_cst) == 0; });
+    util::MutexLock lock(mutex_);
+    cv_.wait(lock, [&] { return active_.load(std::memory_order_seq_cst) == 0; });
+    return error_;
+  }
+
+ private:
+  static constexpr int kClosed = std::numeric_limits<int>::max();
+
+  // One cache line per block, so claims on neighbouring blocks do not
+  // contend.
+  struct alignas(64) Block {
+    Block(std::int64_t first, std::int64_t size, std::int64_t chunk)
+        : first(first), counter(size, chunk) {}
+    std::int64_t first;
+    util::StealableWorkCounter counter;
+  };
+
+  bool drained() const {
+    return std::all_of(blocks_.begin(), blocks_.end(),
+                       [](const Block& b) { return b.counter.drained(); });
+  }
+
+  void leave() {
+    if (active_.fetch_sub(1, std::memory_order_seq_cst) != 1) return;
+    // Taking the mutex orders this wake after the caller's predicate check.
+    { util::MutexLock lock(mutex_); }
+    cv_.notify_all();
+  }
+
+  const Runtime::LoopBody& body_;
+  const int max_participants_;
+  std::deque<Block> blocks_;  // lock-lint: unguarded(counters internally synchronized)
+  util::Mutex mutex_;
+  util::CondVar cv_;
+  std::exception_ptr error_ DCSN_GUARDED_BY(mutex_);
+  /// Slots handed out (slot 0, the caller's, at construction), or kClosed.
+  std::atomic<int> joined_{1};
+  /// Participants inside, the caller included until it finishes.
+  std::atomic<int> active_{1};
+  std::atomic<bool> failed_{false};
+};
 
 }  // namespace
 
@@ -42,7 +184,7 @@ Runtime::~Runtime() {
   {
     util::MutexLock lock(mutex_);
     stop_ = true;
-    ++epoch_;
+    epoch_.fetch_add(1, std::memory_order_relaxed);
   }
   cv_.notify_all();
   workers_.clear();  // joins the pool (jthread)
@@ -55,16 +197,18 @@ Runtime& Runtime::global() {
 }
 
 void Runtime::ensure_workers(int count) {
+  // Called once per parallel_for: a grown pool must not cost its mutex.
+  if (worker_count() >= count) return;
   util::MutexLock lock(mutex_);
   while (static_cast<int>(workers_.size()) < count) {
     const int id = static_cast<int>(workers_.size());
     workers_.emplace_back([this, id] { worker_loop(id); });
+    worker_count_.store(static_cast<int>(workers_.size()), std::memory_order_release);
   }
 }
 
 int Runtime::worker_count() const {
-  util::MutexLock lock(mutex_);
-  return static_cast<int>(workers_.size());
+  return worker_count_.load(std::memory_order_acquire);
 }
 
 void Runtime::register_job(std::shared_ptr<SharedJob> job) {
@@ -72,7 +216,7 @@ void Runtime::register_job(std::shared_ptr<SharedJob> job) {
     util::MutexLock lock(mutex_);
     jobs_.push_back(std::move(job));
     job_count_.store(static_cast<int>(jobs_.size()), std::memory_order_relaxed);
-    ++epoch_;
+    epoch_.fetch_add(1, std::memory_order_relaxed);
   }
   cv_.notify_all();
 }
@@ -83,37 +227,37 @@ void Runtime::deregister_job(const SharedJob* job) {
   job_count_.store(static_cast<int>(jobs_.size()), std::memory_order_relaxed);
 }
 
-void Runtime::post(std::function<void()> fn) {
-  {
-    util::MutexLock lock(mutex_);
-    tasks_.push_back(std::move(fn));
-    ++epoch_;
+void Runtime::fork_join(std::int64_t n, std::int64_t chunk, int max_participants,
+                        const LoopBody& body) {
+  DCSN_CHECK(chunk >= 1, "fork_join chunk must be >= 1");
+  DCSN_CHECK(max_participants >= 1, "fork_join needs at least one participant");
+  if (max_participants == 1 || n <= chunk) {
+    for (std::int64_t begin = 0; begin < n; begin += chunk) {
+      body(0, begin, std::min(n, begin + chunk));
+    }
+    return;
   }
-  cv_.notify_all();
+  auto job = std::make_shared<ForkJoin>(n, chunk, max_participants, body);
+  register_job(job);
+  (void)job->run(0, 0);
+  // Deregister before rethrowing, so a failed loop never leaks its job.
+  const std::exception_ptr error = job->finish();
+  deregister_job(job.get());
+  if (error) std::rethrow_exception(error);
 }
 
 void Runtime::worker_loop(int worker_id) {
   util::set_current_thread_name("dcsn-rt" + std::to_string(worker_id));
+  t_worker_index = worker_id;
+  bool warm = false;  // offered to a keep_warm() job since it last spun
   for (;;) {
-    std::function<void()> task;
     std::vector<std::shared_ptr<SharedJob>> jobs;
     std::uint64_t epoch;
     {
       util::MutexLock lock(mutex_);
-      epoch = epoch_;
       if (stop_) return;
-      if (!tasks_.empty()) {
-        // FIFO; tasks beat job service so short pipeline steps (prepare,
-        // partial reductions) are not starved behind a frame in flight.
-        task = std::move(tasks_.front());
-        tasks_.erase(tasks_.begin());
-      } else {
-        jobs = jobs_;  // snapshot: serve outside the lock
-      }
-    }
-    if (task) {
-      task();
-      continue;
+      epoch = epoch_.load(std::memory_order_relaxed);
+      jobs = jobs_;  // snapshot: serve outside the lock
     }
     // Fault site kWorkerPickup (scheduling class): a drop models a worker
     // offering no capacity this round — it falls through to the epoch wait
@@ -126,12 +270,25 @@ void Runtime::worker_loop(int worker_id) {
         jobs.clear();
       }
     }
-    bool worked = false;
-    for (const auto& job : jobs) worked = job->serve() || worked;
-    if (worked) continue;
+    bool more = false;  // served a job that may have work left
+    for (const auto& job : jobs) {
+      const bool worked = job->serve();
+      if (job->keep_warm()) {
+        warm = true;  // even if this worker came too late to help
+      } else {
+        more = more || worked;
+      }
+    }
+    if (more) continue;
+    if (warm) {
+      warm = false;
+      if (spin_until([&] { return epoch_.load(std::memory_order_relaxed) != epoch; })) {
+        continue;
+      }
+    }
     util::MutexLock lock(mutex_);
     cv_.wait(lock, [&]() DCSN_REQUIRES(mutex_) {
-      return stop_ || epoch_ != epoch || !tasks_.empty();
+      return stop_ || epoch_.load(std::memory_order_relaxed) != epoch;
     });
   }
 }
@@ -189,6 +346,21 @@ std::int64_t Runtime::pipes_created() const {
 std::int64_t Runtime::pipes_reused() const {
   util::MutexLock lock(pipes_mutex_);
   return pipes_reused_;
+}
+
+void parallel_for(std::int64_t n,
+                  const std::function<void(std::int64_t begin, std::int64_t end)>& body,
+                  int max_participants) {
+  const int cap = max_participants > 0 ? max_participants : util::hardware_threads();
+  Runtime& runtime = Runtime::global();
+  runtime.ensure_workers(cap - 1);
+  // About four ranges per participant: a late joiner still finds work, and
+  // a claim costs one atomic add.
+  const std::int64_t ranges = 4 * static_cast<std::int64_t>(cap);
+  const std::int64_t chunk = std::max<std::int64_t>(1, (n + ranges - 1) / ranges);
+  runtime.fork_join(n, chunk, cap, [&body](int, std::int64_t begin, std::int64_t end) {
+    body(begin, end);
+  });
 }
 
 }  // namespace dcsn::core

@@ -1,6 +1,6 @@
 // The shared engine runtime: one worker pool, one graphics-pipe pool, one
-// framebuffer pool for every synthesizer, animator and service session in
-// the process.
+// framebuffer pool for every synthesizer, animator, service session and
+// data-parallel loop in the process.
 //
 // The paper's machine model assumes a single synthesis job owning the whole
 // Onyx2 — processors, pipes and the bus. That assumption breaks the moment
@@ -12,7 +12,7 @@
 //
 //   Runtime
 //    ├─ worker pool        N pool threads serving registered SharedJobs
-//    │                     (frame jobs) in FIFO order + one-shot tasks
+//    │                     (frame jobs and fork-join loops) in FIFO order
 //    ├─ GraphicsPipe pool  released pipes keyed by behavioral config; a
 //    │                     checkout reshapes via resize_target instead of
 //    │                     constructing a new server thread + target
@@ -30,9 +30,12 @@
 // thread always participates, so every frame makes progress even when the
 // pool is empty or absorbed by other sessions.
 //
-// One-shot tasks (post/async) ride the same pool: the pipelined animator's
-// prepare step and the serial synthesizer's partial workers are tasks, not
-// private threads.
+// Loops fan out the same way. fork_join() registers a short job over an
+// index range: the caller and up to a cap of pool workers claim ranges,
+// each from its own block first. The serial synthesizer's partial
+// framebuffers, the DNS and smog solvers, particle advection, the texture
+// filters and LIC all run on it, so one scheduler serves every thread of
+// the process.
 //
 // A process-global Runtime (Runtime::global()) backs every constructor that
 // does not name one, which is what keeps the entire pre-runtime API — and
@@ -42,7 +45,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <thread>
@@ -114,6 +116,12 @@ class Runtime {
    public:
     virtual ~SharedJob() = default;
     virtual bool serve() = 0;
+    /// A short loop (fork_join): once serve() returns it has nothing left
+    /// for this worker, and the next loop likely follows within
+    /// microseconds (a solver's sweeps), so the worker spins briefly for the
+    /// next registration instead of parking — a futex wake per loop would
+    /// cost more than the loop.
+    [[nodiscard]] virtual bool keep_warm() const { return false; }
   };
 
   explicit Runtime(RuntimeConfig config = {});
@@ -133,7 +141,7 @@ class Runtime {
   /// largest session even when it arrives late.
   void ensure_workers(int count);
 
-  [[nodiscard]] int worker_count() const;
+  [[nodiscard]] int worker_count() const;  // lock-free
 
   /// Registers a job for pool service. Jobs are served in registration
   /// (FIFO) order: the oldest frame in flight drains first, which is what
@@ -150,22 +158,22 @@ class Runtime {
     return job_count_.load(std::memory_order_relaxed);
   }
 
-  // --- one-shot tasks ---
+  // --- fork-join loops ---
 
-  /// Enqueues `fn` for execution on a pool worker. Tasks have priority over
-  /// job service so short pipeline steps (e.g. the pipelined animator's
-  /// prepare) are not starved behind a long frame.
-  void post(std::function<void()> fn);
+  /// One claimed range of a fork_join: the participant's slot, unique among
+  /// the call's participants and below its cap, and the half-open item
+  /// range [begin, end).
+  using LoopBody = std::function<void(int slot, std::int64_t begin, std::int64_t end)>;
 
-  /// post() wrapped in a future.
-  template <class F>
-  [[nodiscard]] auto async(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    post([task] { (*task)(); });
-    return result;
-  }
+  /// Runs `body` over [0, n) in ranges of at most `chunk` items. The calling
+  /// thread always takes part (as slot 0); pool workers join until
+  /// `max_participants` have. Returns once every range ran and every
+  /// participant left, then rethrows the first exception a participant
+  /// threw (after it, no further ranges are claimed). Callable from any
+  /// thread, pool workers included: it completes even if no worker joins.
+  /// Does not grow the pool.
+  void fork_join(std::int64_t n, std::int64_t chunk, int max_participants,
+                 const LoopBody& body);
 
   // --- device pools ---
 
@@ -214,12 +222,13 @@ class Runtime {
 
   mutable util::Mutex mutex_;
   util::CondVar cv_;
-  std::uint64_t epoch_ DCSN_GUARDED_BY(mutex_) = 0;  ///< bumped per wake event
+  /// Bumped per wake event, under mutex_ so parked workers cannot miss it;
+  /// read without it by workers spinning before they park.
+  std::atomic<std::uint64_t> epoch_{0};
   bool stop_ DCSN_GUARDED_BY(mutex_) = false;
   /// FIFO service order.
   std::vector<std::shared_ptr<SharedJob>> jobs_ DCSN_GUARDED_BY(mutex_);
   std::atomic<int> job_count_{0};  ///< jobs_.size(), readable without mutex_
-  std::vector<std::function<void()>> tasks_ DCSN_GUARDED_BY(mutex_);
 
   mutable util::Mutex pipes_mutex_;
   std::map<PipeKey, std::vector<std::unique_ptr<render::GraphicsPipe>>>
@@ -237,6 +246,16 @@ class Runtime {
   /// holding it there would deadlock. Safe because by then no other thread
   /// can call ensure_workers (destruction implies exclusive access).
   std::vector<std::jthread> workers_;  // lock-lint: unguarded(joined unlocked in dtor)
+  std::atomic<int> worker_count_{0};  ///< workers_.size(), readable without mutex_
 };
+
+/// Runs `body(begin, end)` over [0, n) on the process-global runtime, with
+/// up to `max_participants` participants (0: one per hardware thread),
+/// growing the global pool to serve them. For loops whose every item is
+/// computed on its own, so that neither the partition nor the participant
+/// count can change a result.
+void parallel_for(std::int64_t n,
+                  const std::function<void(std::int64_t begin, std::int64_t end)>& body,
+                  int max_participants = 0);
 
 }  // namespace dcsn::core

@@ -8,12 +8,10 @@
 // processed into worker-private framebuffers that are summed at the end —
 // valid because lattice-snapped addition commutes exactly.
 //
-// The threads > 1 path borrows its workers from the shared core::Runtime
-// (the same pool the divide-and-conquer engine multiplexes) and its
-// worker-private partials from the runtime's framebuffer pool, instead of
-// opening a private OpenMP region: one pool serves every synthesis strategy
-// in the process, and the path stays visible to ThreadSanitizer (libgomp's
-// barriers are not instrumented).
+// The threads > 1 path is one Runtime::fork_join over the spots: its
+// workers come from the shared core::Runtime (the same pool the
+// divide-and-conquer engine multiplexes) and its worker-private partials
+// from the runtime's framebuffer pool.
 //
 // It is also the reference implementation the divide-and-conquer engine is
 // tested against: for the same spots both must produce the same texture

@@ -1,9 +1,11 @@
 #include "particles/particle_system.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numbers>
 
+#include "core/runtime.hpp"
 #include "util/error.hpp"
 
 namespace dcsn::particles {
@@ -30,23 +32,26 @@ void ParticleSystem::advance(const field::VectorField& f, double dt) {
   const auto n = static_cast<std::int64_t>(particles_.size());
   const std::uint64_t gen_salt =
       stream_seed_ ^ (static_cast<std::uint64_t>(generation_) * 0x9e3779b97f4a7c15ULL);
-  std::int64_t respawned = 0;
-#pragma omp parallel for schedule(static) reduction(+ : respawned)
-  for (std::int64_t idx = 0; idx < n; ++idx) {
-    Particle& p = particles_[static_cast<std::size_t>(idx)];
-    p.position = step(f, p.position, dt, config_.method);
-    p.age += dt;
-    const bool died = p.age >= p.lifetime;
-    const bool escaped =
-        config_.respawn_out_of_domain && !domain_.contains(p.position);
-    if (died || escaped) {
-      // Per-particle deterministic stream: independent of thread count.
-      util::Rng local(gen_salt ^ static_cast<std::uint64_t>(idx));
-      respawn(p, local);
-      ++respawned;
+  std::atomic<std::int64_t> respawned{0};
+  core::parallel_for(n, [&](std::int64_t begin, std::int64_t end) {
+    std::int64_t count = 0;
+    for (std::int64_t idx = begin; idx < end; ++idx) {
+      Particle& p = particles_[static_cast<std::size_t>(idx)];
+      p.position = step(f, p.position, dt, config_.method);
+      p.age += dt;
+      const bool died = p.age >= p.lifetime;
+      const bool escaped =
+          config_.respawn_out_of_domain && !domain_.contains(p.position);
+      if (died || escaped) {
+        // Per-particle deterministic stream: independent of thread count.
+        util::Rng local(gen_salt ^ static_cast<std::uint64_t>(idx));
+        respawn(p, local);
+        ++count;
+      }
     }
-  }
-  last_respawns_ = respawned;
+    respawned.fetch_add(count, std::memory_order_relaxed);
+  });
+  last_respawns_ = respawned.load(std::memory_order_relaxed);
 }
 
 double ParticleSystem::fade_weight(const Particle& p, double fade_fraction) {

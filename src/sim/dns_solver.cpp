@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/runtime.hpp"
 #include "particles/integrators.hpp"
 #include "util/error.hpp"
 
@@ -79,18 +80,19 @@ void DnsSolver::advect() {
   // Semi-Lagrangian: trace each sample backwards through the flow and pick
   // up the velocity found there (unconditionally stable).
   const field::RegularGrid& g = grid();
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < g.ny(); ++j) {
-    for (int i = 0; i < g.nx(); ++i) {
-      if (solid_[g.linear_index(i, j)]) {
-        scratch_.at(i, j) = {};
-        continue;
+  core::parallel_for(g.ny(), [&](std::int64_t j0, std::int64_t j1) {
+    for (int j = static_cast<int>(j0); j < j1; ++j) {
+      for (int i = 0; i < g.nx(); ++i) {
+        if (solid_[g.linear_index(i, j)]) {
+          scratch_.at(i, j) = {};
+          continue;
+        }
+        const field::Vec2 p = g.position(i, j);
+        const field::Vec2 back = particles::rk2_step(velocity_, p, -dt_);
+        scratch_.at(i, j) = velocity_.sample(params_.domain.clamp(back));
       }
-      const field::Vec2 p = g.position(i, j);
-      const field::Vec2 back = particles::rk2_step(velocity_, p, -dt_);
-      scratch_.at(i, j) = velocity_.sample(params_.domain.clamp(back));
     }
-  }
+  });
   std::swap(velocity_, scratch_);
   apply_boundaries(velocity_);
 }
@@ -106,21 +108,22 @@ void DnsSolver::diffuse() {
   const double ky = params_.viscosity * dt_ / (g.dy() * g.dy());
   const int nx = g.nx();
   const int ny = g.ny();
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      if (solid_[g.linear_index(i, j)]) {
-        scratch_.at(i, j) = {};
-        continue;
+  core::parallel_for(ny, [&](std::int64_t j0, std::int64_t j1) {
+    for (int j = static_cast<int>(j0); j < j1; ++j) {
+      for (int i = 0; i < nx; ++i) {
+        if (solid_[g.linear_index(i, j)]) {
+          scratch_.at(i, j) = {};
+          continue;
+        }
+        const field::Vec2 c = velocity_.at(i, j);
+        const field::Vec2 l = velocity_.at(std::max(i - 1, 0), j);
+        const field::Vec2 r = velocity_.at(std::min(i + 1, nx - 1), j);
+        const field::Vec2 d = velocity_.at(i, std::max(j - 1, 0));
+        const field::Vec2 u = velocity_.at(i, std::min(j + 1, ny - 1));
+        scratch_.at(i, j) = c + (l + r - c * 2.0) * kx + (d + u - c * 2.0) * ky;
       }
-      const field::Vec2 c = velocity_.at(i, j);
-      const field::Vec2 l = velocity_.at(std::max(i - 1, 0), j);
-      const field::Vec2 r = velocity_.at(std::min(i + 1, nx - 1), j);
-      const field::Vec2 d = velocity_.at(i, std::max(j - 1, 0));
-      const field::Vec2 u = velocity_.at(i, std::min(j + 1, ny - 1));
-      scratch_.at(i, j) = c + (l + r - c * 2.0) * kx + (d + u - c * 2.0) * ky;
     }
-  }
+  });
   std::swap(velocity_, scratch_);
   apply_boundaries(velocity_);
 }
@@ -133,19 +136,20 @@ void DnsSolver::project() {
   const double dy = g.dy();
 
   // Velocity divergence (central differences).
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      if (solid_[g.linear_index(i, j)] || i == 0 || i == nx - 1 || j == 0 ||
-          j == ny - 1) {
-        divergence_.at(i, j) = 0.0;
-        continue;
+  core::parallel_for(ny, [&](std::int64_t j0, std::int64_t j1) {
+    for (int j = static_cast<int>(j0); j < j1; ++j) {
+      for (int i = 0; i < nx; ++i) {
+        if (solid_[g.linear_index(i, j)] || i == 0 || i == nx - 1 || j == 0 ||
+            j == ny - 1) {
+          divergence_.at(i, j) = 0.0;
+          continue;
+        }
+        divergence_.at(i, j) =
+            (velocity_.at(i + 1, j).x - velocity_.at(i - 1, j).x) / (2.0 * dx) +
+            (velocity_.at(i, j + 1).y - velocity_.at(i, j - 1).y) / (2.0 * dy);
       }
-      divergence_.at(i, j) =
-          (velocity_.at(i + 1, j).x - velocity_.at(i - 1, j).x) / (2.0 * dx) +
-          (velocity_.at(i, j + 1).y - velocity_.at(i, j - 1).y) / (2.0 * dy);
     }
-  }
+  });
 
   // Pressure Poisson: nabla^2 p = div / dt, Neumann at walls and the block,
   // red-black SOR so sweeps parallelize.
@@ -163,32 +167,34 @@ void DnsSolver::project() {
 
   for (int sweep = 0; sweep < params_.pressure_iterations; ++sweep) {
     for (int color = 0; color < 2; ++color) {
-#pragma omp parallel for schedule(static)
-      for (int j = 0; j < ny; ++j) {
-        for (int i = (j + color) % 2; i < nx; i += 2) {
-          if (solid_[g.linear_index(i, j)]) continue;
-          const double rhs = divergence_.at(i, j) / dt_;
-          const double sum = ax * (neighbor(i - 1, j, i, j) + neighbor(i + 1, j, i, j)) +
-                             ay * (neighbor(i, j - 1, i, j) + neighbor(i, j + 1, i, j));
-          const double gs = (sum - rhs) * inv_diag;
-          pressure_.at(i, j) += omega * (gs - pressure_.at(i, j));
+      core::parallel_for(ny, [&](std::int64_t j0, std::int64_t j1) {
+        for (int j = static_cast<int>(j0); j < j1; ++j) {
+          for (int i = (j + color) % 2; i < nx; i += 2) {
+            if (solid_[g.linear_index(i, j)]) continue;
+            const double rhs = divergence_.at(i, j) / dt_;
+            const double sum = ax * (neighbor(i - 1, j, i, j) + neighbor(i + 1, j, i, j)) +
+                               ay * (neighbor(i, j - 1, i, j) + neighbor(i, j + 1, i, j));
+            const double gs = (sum - rhs) * inv_diag;
+            pressure_.at(i, j) += omega * (gs - pressure_.at(i, j));
+          }
         }
-      }
+      });
     }
   }
 
   // Subtract the pressure gradient to make the field divergence-free.
-#pragma omp parallel for schedule(static)
-  for (int j = 1; j < ny - 1; ++j) {
-    for (int i = 1; i < nx - 1; ++i) {
-      if (solid_[g.linear_index(i, j)]) continue;
-      const double px =
-          (neighbor(i + 1, j, i, j) - neighbor(i - 1, j, i, j)) / (2.0 * dx);
-      const double py =
-          (neighbor(i, j + 1, i, j) - neighbor(i, j - 1, i, j)) / (2.0 * dy);
-      velocity_.at(i, j) -= field::Vec2{px, py} * dt_;
+  core::parallel_for(ny - 2, [&](std::int64_t j0, std::int64_t j1) {
+    for (int j = 1 + static_cast<int>(j0); j < 1 + j1; ++j) {
+      for (int i = 1; i < nx - 1; ++i) {
+        if (solid_[g.linear_index(i, j)]) continue;
+        const double px =
+            (neighbor(i + 1, j, i, j) - neighbor(i - 1, j, i, j)) / (2.0 * dx);
+        const double py =
+            (neighbor(i, j + 1, i, j) - neighbor(i, j - 1, i, j)) / (2.0 * dy);
+        velocity_.at(i, j) -= field::Vec2{px, py} * dt_;
+      }
     }
-  }
+  });
   velocity_.invalidate_max();
 }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "core/runtime.hpp"
 #include "util/error.hpp"
 
 namespace dcsn::sim {
@@ -96,38 +97,39 @@ void SmogModel::advect_diffuse_react(double dt) {
     const field::ScalarField& c = concentration_[static_cast<std::size_t>(species)];
     field::ScalarField& out = scratch_[static_cast<std::size_t>(species)];
 
-#pragma omp parallel for schedule(static)
-    for (int j = 0; j < ny; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        const field::Vec2 v = wind_.at(i, j);
-        const double cc = c.at(i, j);
-        const double cl = c.at(std::max(i - 1, 0), j);
-        const double cr = c.at(std::min(i + 1, nx - 1), j);
-        const double cd = c.at(i, std::max(j - 1, 0));
-        const double cu = c.at(i, std::min(j + 1, ny - 1));
+    core::parallel_for(ny, [&](std::int64_t j0, std::int64_t j1) {
+      for (int j = static_cast<int>(j0); j < j1; ++j) {
+        for (int i = 0; i < nx; ++i) {
+          const field::Vec2 v = wind_.at(i, j);
+          const double cc = c.at(i, j);
+          const double cl = c.at(std::max(i - 1, 0), j);
+          const double cr = c.at(std::min(i + 1, nx - 1), j);
+          const double cd = c.at(i, std::max(j - 1, 0));
+          const double cu = c.at(i, std::min(j + 1, ny - 1));
 
-        // First-order upwind advection (stable under the CFL substepping).
-        const double ddx = v.x >= 0.0 ? (cc - cl) / dx : (cr - cc) / dx;
-        const double ddy = v.y >= 0.0 ? (cc - cd) / dy : (cu - cc) / dy;
-        const double advection = -(v.x * ddx + v.y * ddy);
+          // First-order upwind advection (stable under the CFL substepping).
+          const double ddx = v.x >= 0.0 ? (cc - cl) / dx : (cr - cc) / dx;
+          const double ddy = v.y >= 0.0 ? (cc - cd) / dy : (cu - cc) / dy;
+          const double advection = -(v.x * ddx + v.y * ddy);
 
-        const double laplacian =
-            (cl - 2.0 * cc + cr) / (dx * dx) + (cd - 2.0 * cc + cu) / (dy * dy);
+          const double laplacian =
+              (cl - 2.0 * cc + cr) / (dx * dx) + (cd - 2.0 * cc + cu) / (dy * dy);
 
-        double reaction;
-        if (species == static_cast<int>(Species::kPrecursor)) {
-          reaction = -(params_.photo_rate + params_.precursor_decay) * cc;
-        } else {
-          const double precursor =
-              concentration_[static_cast<std::size_t>(Species::kPrecursor)].at(i, j);
-          reaction = params_.photo_rate * precursor - params_.ozone_decay * cc;
+          double reaction;
+          if (species == static_cast<int>(Species::kPrecursor)) {
+            reaction = -(params_.photo_rate + params_.precursor_decay) * cc;
+          } else {
+            const double precursor =
+                concentration_[static_cast<std::size_t>(Species::kPrecursor)].at(i, j);
+            reaction = params_.photo_rate * precursor - params_.ozone_decay * cc;
+          }
+
+          out.at(i, j) =
+              std::max(0.0, cc + dt * (advection + params_.diffusivity * laplacian +
+                                       reaction));
         }
-
-        out.at(i, j) =
-            std::max(0.0, cc + dt * (advection + params_.diffusivity * laplacian +
-                                     reaction));
       }
-    }
+    });
   }
   for (int species = 0; species < 2; ++species) {
     std::swap(concentration_[static_cast<std::size_t>(species)],

@@ -1,10 +1,11 @@
 // Portable SIMD kernel layer for the pixel hot paths.
 //
 // Every kernel is a restrict-qualified straight-line loop annotated with
-// `#pragma omp simd`. With OpenMP (or any compiler that honours the pragma)
-// the loop vectorizes; without it the pragma is ignored and the same code
-// runs as the scalar fallback — no intrinsics, no runtime dispatch, no
-// second code path to keep correct. Callers guarantee that `dst` and `src`
+// `#pragma omp simd`. The build passes -fopenmp-simd, which honours the
+// pragma without linking an OpenMP runtime, so the loop vectorizes; a
+// compiler that ignores the pragma runs the same code as the scalar
+// fallback — no intrinsics, no runtime dispatch, no second code path to
+// keep correct. Callers guarantee that `dst` and `src`
 // do not alias; the restrict qualifier is what licenses the vectorization.
 //
 // Semantics are pinned to the scalar expression the rasterizer uses

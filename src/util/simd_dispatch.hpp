@@ -37,7 +37,8 @@ namespace dcsn::util::simd {
 
 /// Implementation tiers, ordered by preference within an architecture.
 enum class Tier : int {
-  kScalar = 0,  ///< util/simd.hpp portable kernels (omp-simd, any compiler)
+  kScalar = 0,  ///< util/simd.hpp portable kernels (`omp simd` hints,
+                ///< honoured under -fopenmp-simd; no OpenMP runtime)
   kSse2 = 1,    ///< 128-bit, baseline on x86-64
   kAvx2 = 2,    ///< 256-bit + gathers, detected via CPUID
 };

@@ -7,8 +7,13 @@
 namespace dcsn::util {
 
 int hardware_threads() noexcept {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
+  // Read once: the query parses /sys on every call, and parallel_for asks
+  // per loop.
+  static const int threads = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1 : static_cast<int>(n);
+  }();
+  return threads;
 }
 
 void set_current_thread_name(const std::string& name) noexcept {

@@ -1,17 +1,14 @@
 // Tests for the extension modules: LIC comparator, arrow/streamline glyph
-// baselines, the scene renderer (pipeline step 4), and the pipelined
-// animator.
+// baselines and the scene renderer (pipeline step 4).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/lic.hpp"
-#include "core/pipelined_animator.hpp"
 #include "field/analytic.hpp"
 #include "render/glyphs.hpp"
 #include "render/scene.hpp"
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -231,94 +228,6 @@ TEST(Scene, RejectsDegenerateView) {
   render::SceneView view;
   view.out_width = 0;
   EXPECT_THROW((void)render::render_scene(tex, view), util::Error);
-}
-
-// ------------------------------------------------------- PipelinedAnimator ---
-
-TEST(PipelinedAnimator, ProducesFramesLikeAnimator) {
-  core::SynthesisConfig config;
-  config.texture_width = 96;
-  config.texture_height = 96;
-  config.spot_count = 200;
-  const Rect domain{0, 0, 2, 1};
-  const auto f = field::analytic::double_gyre(0.1, 0.25, 0.6, 0.0);
-  core::DncConfig dnc;
-  dnc.processors = 2;
-  dnc.pipes = 1;
-  core::DncSynthesizer synth(config, dnc);
-  particles::ParticleSystemConfig pc;
-  pc.count = config.spot_count;
-  particles::ParticleSystem particles(pc, domain, util::Rng(1));
-
-  int reads = 0;
-  core::PipelinedAnimator animator(
-      {}, synth, particles, [&](std::int64_t) -> const field::VectorField& {
-        ++reads;
-        return *f;
-      });
-  const auto frame0 = animator.step();
-  const auto frame1 = animator.step();
-  EXPECT_EQ(animator.frame_number(), 2);
-  EXPECT_GE(reads, 2);  // prologue + one per step
-  ASSERT_NE(frame1.texture, nullptr);
-  EXPECT_GT(render::texture_stddev(*frame1.texture), 0.0);
-  EXPECT_GT(frame0.synthesis.spots, 0);
-}
-
-TEST(PipelinedAnimator, OverlapHidesPreparation) {
-  // With an artificially slow read_data, the pipelined animator's steady
-  // state step should cost ~max(prepare, synthesize), not their sum.
-  core::SynthesisConfig config;
-  config.texture_width = 256;
-  config.texture_height = 256;
-  config.spot_count = 4000;
-  config.kind = core::SpotKind::kBent;
-  config.bent.mesh_cols = 8;
-  config.bent.mesh_rows = 3;
-  const Rect domain{0, 0, 2, 1};
-  const auto f = field::analytic::double_gyre(0.1, 0.25, 0.6, 0.0);
-  core::DncConfig dnc;
-  dnc.processors = 2;
-  dnc.pipes = 1;
-  core::DncSynthesizer synth(config, dnc);
-  particles::ParticleSystemConfig pc;
-  pc.count = config.spot_count;
-  particles::ParticleSystem particles(pc, domain, util::Rng(2));
-
-  constexpr double kReadDelay = 0.03;
-  auto slow_read = [&](std::int64_t) -> const field::VectorField& {
-    const util::Stopwatch w;
-    while (w.seconds() < kReadDelay) {
-    }
-    return *f;
-  };
-  core::AnimatorConfig ac;
-  ac.normalize = false;
-  core::PipelinedAnimator animator(ac, synth, particles, slow_read);
-  (void)animator.step();  // warm the pipeline
-  util::ThreadCpuStopwatch pipelined_cpu;
-  for (int k = 0; k < 3; ++k) (void)animator.step();
-  const double pipelined = pipelined_cpu.seconds() / 3;
-
-  // Sequential reference: same work, no overlap.
-  particles::ParticleSystem particles2(pc, domain, util::Rng(2));
-  core::Animator sequential(ac, synth, particles2, slow_read);
-  (void)sequential.step();
-  util::ThreadCpuStopwatch serial_cpu;
-  for (int k = 0; k < 3; ++k) (void)sequential.step();
-  const double serial = serial_cpu.seconds() / 3;
-
-  // Measured on the CALLER's thread-CPU clock, not wall clock. The
-  // pipelined animator hands prepare (and its busy-wait read) to a pool
-  // worker via Runtime::async, so the caller's CPU time per step excludes
-  // the read delay entirely; the serial Animator spins through slow_read on
-  // the caller itself, so its CPU time includes it. Wall-clock versions of
-  // this assertion flaked on loaded one-core hosts (neighbor tests inflated
-  // the pipelined steps); a thread-CPU clock does not advance while the
-  // caller is preempted, so host load cancels out of both sides. The margin
-  // stays below half the delay for the one effect load can still have: the
-  // serial spin accrues CPU only while scheduled.
-  EXPECT_LT(pipelined, serial - 0.35 * kReadDelay);
 }
 
 }  // namespace

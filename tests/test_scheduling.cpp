@@ -9,6 +9,7 @@
 #include <cmath>
 #include <latch>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -283,6 +284,24 @@ std::vector<std::int64_t> tile_vertex_shares(const core::SynthesisConfig& config
   return shares;
 }
 
+// A job that blocks every pool worker serving it until `release` opens:
+// registered ahead of a frame, it absorbs the whole pool.
+class HoldingJob final : public core::Runtime::SharedJob {
+ public:
+  HoldingJob(std::atomic<int>& held, std::latch& release)
+      : held_(held), release_(release) {}
+
+  bool serve() override {
+    held_.fetch_add(1);
+    release_.wait();
+    return false;
+  }
+
+ private:
+  std::atomic<int>& held_;
+  std::latch& release_;
+};
+
 TEST(Scheduling, AbsorbedPoolFrameCompletesOnTheCaller) {
   // Other sessions can hold every pool worker for a whole frame. The frame
   // must then complete on the calling thread alone, steal on or off, tiled
@@ -311,14 +330,11 @@ TEST(Scheduling, AbsorbedPoolFrameCompletesOnTheCaller) {
       const int workers = runtime.worker_count();
       std::atomic<int> held{0};
       std::latch release(1);
-      for (int w = 0; w < workers; ++w) {
-        runtime.post([&held, &release] {
-          held.fetch_add(1);
-          release.wait();
-        });
-      }
+      const auto holding = std::make_shared<HoldingJob>(held, release);
+      runtime.register_job(holding);
       while (held.load() < workers) std::this_thread::yield();
       const auto stats = engine.synthesize(*f, spots);
+      runtime.deregister_job(holding.get());
       release.count_down();
 
       EXPECT_TRUE(engine.texture() == reference.texture());

@@ -76,9 +76,9 @@ TEST(SerialSynthesizer, DeterministicForFixedSeed) {
 }
 
 TEST(SerialSynthesizer, MultithreadedMatchesSerial) {
-  // The §4 "bypass the graphics subsystem" path: OpenMP over spots with
-  // framebuffer reduction. Float summation order differs, so compare with a
-  // tolerance proportional to the texture scale.
+  // The §4 "bypass the graphics subsystem" path: a fork-join over spots on
+  // the runtime's pool with a framebuffer reduction. (Lattice-exact adds make
+  // it bit-identical — test_determinism pins that; this checks the path.)
   const auto config = small_config();
   const Rect domain{0, 0, 2, 2};
   const auto f = field::analytic::taylor_green(1.0, domain);
